@@ -245,9 +245,9 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _corpus_scores(ckpt_path, sessions):
+def _corpus_scores(ckpt_path, sessions, label_source="none"):
     model_config, vocab, params = load_checkpoint(ckpt_path)
-    ds = WindowDataset.from_sessions(sessions, vocab, model_config, "none")
+    ds = WindowDataset.from_sessions(sessions, vocab, model_config, label_source)
     scores = predict_scores(params, model_config, ds.batch)
     per_session = [np.zeros(len(s.turns)) for s in sessions]
     for score, si, ti in zip(scores, ds.session_index, ds.turn_index):
@@ -257,11 +257,9 @@ def _corpus_scores(ckpt_path, sessions):
 
 def _cmd_eval(args) -> int:
     sessions = read_sessions(args.corpus)
-    _, scores, ds = _corpus_scores(args.ckpt, sessions)
-    labels = np.array(
-        [sessions[si].oracle_satisfaction[ti] for si, ti in zip(ds.session_index, ds.turn_index)],
-        dtype=np.int64,
-    )
+    # Oracle labels make the dataset reject, by name, a session that lacks them.
+    _, scores, ds = _corpus_scores(args.ckpt, sessions, "oracle")
+    labels = ds.labels.astype(np.int64)
     rows = [
         ("n_turns", float(len(labels))),
         ("auc", metrics.auc(scores, labels)),

@@ -20,6 +20,7 @@ __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError"]
 
 _MAGIC = b"SATGCKPT"
 _VERSION = 1
+_PREFIX = struct.Struct("<IQ")  # format version, header length
 
 
 class CheckpointError(ValueError):
@@ -48,7 +49,7 @@ def save_checkpoint(path, config: PredictorConfig, vocab: Vocabulary, params: di
     ).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IQ", _VERSION, len(header)))
+        fh.write(_PREFIX.pack(_VERSION, len(header)))
         fh.write(header)
         for blob in blobs:
             fh.write(blob)
@@ -59,11 +60,22 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, dict]:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise CheckpointError(f"not a predictor checkpoint: bad magic {magic!r}")
-        version, header_len = struct.unpack("<IQ", fh.read(12))
+        prefix = fh.read(_PREFIX.size)
+        if len(prefix) < _PREFIX.size:
+            raise CheckpointError("truncated checkpoint: file ends before the header length")
+        version, header_len = _PREFIX.unpack(prefix)
         if version != _VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        raw_header = fh.read(header_len)
+        if len(raw_header) < header_len:
+            raise CheckpointError(
+                f"truncated checkpoint: header holds {len(raw_header)} of {header_len} bytes"
+            )
         payload = fh.read()
+    try:
+        header = json.loads(raw_header.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
     config = PredictorConfig.from_dict(header["config"])
     vocab = Vocabulary.from_dict(header["vocab"])
     params = {}
@@ -71,6 +83,12 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, dict]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        end = start + 8 * count
+        if end > len(payload):
+            raise CheckpointError(
+                f"truncated checkpoint: tensor {entry['name']!r} needs payload bytes "
+                f"{start}..{end}, but the payload holds {len(payload)}"
+            )
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
         params[entry["name"]] = arr.reshape(shape).copy()
     return config, vocab, params

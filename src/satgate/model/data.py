@@ -9,7 +9,7 @@ slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -51,23 +51,66 @@ class Batch:
     def pool_size(self) -> int:
         return self.text_ids.shape[0]
 
+    def pool_rows(self, rows: np.ndarray) -> "Batch":
+        """Pool rows ``rows`` as a batch of their own, holding no windows."""
+        T = self.window_rows.shape[1]
+        return Batch(
+            **{name: getattr(self, name)[rows] for name in _POOL_FIELDS},
+            window_rows=np.zeros((0, T), dtype=np.int64),
+            turn_mask=np.zeros((0, T)),
+            labels=np.zeros(0),
+        )
+
     def subset(self, index: np.ndarray) -> "Batch":
         """Windows ``index`` with the turn pool shrunk to the rows they use."""
         rows = self.window_rows[index]
         used, inverse = np.unique(rows, return_inverse=True)
-        return Batch(
-            text_ids=self.text_ids[used],
-            text_mask=self.text_mask[used],
-            dom_ids=self.dom_ids[used],
-            item_ids=self.item_ids[used],
-            slot_key_ids=self.slot_key_ids[used],
-            slot_key_mask=self.slot_key_mask[used],
-            slot_val_ids=self.slot_val_ids[used],
-            slot_val_mask=self.slot_val_mask[used],
+        return replace(
+            self.pool_rows(used),
             window_rows=inverse.reshape(rows.shape),
             turn_mask=self.turn_mask[index],
             labels=self.labels[index],
         )
+
+    def content_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pool rows grouped by content: ``(first, inverse)``, where ``first``
+        holds one pool row per distinct content and ``inverse[r]`` is the
+        position in ``first`` of row ``r``'s content.
+
+        A row's content is every per-turn array the turn encoder reads, so rows
+        of one content encode to the same embedding. The key is built from
+        each array in the narrowest exact integer type, which keeps it a small
+        fraction of the pool's own size.
+        """
+        key = np.concatenate(
+            [
+                np.ascontiguousarray(_narrowest(getattr(self, name)))
+                .reshape(self.pool_size, -1)
+                .view(np.uint8)
+                for name in _POOL_FIELDS
+            ],
+            axis=1,
+        )
+        rows = key.view(np.dtype((np.void, key.shape[1]))).ravel()
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        return first, inverse
+
+
+# Every per-turn (pool) array of a Batch; the rest are per window.
+_POOL_FIELDS = tuple(
+    f.name for f in fields(Batch) if f.name not in ("window_rows", "turn_mask", "labels")
+)
+
+
+def _narrowest(a: np.ndarray) -> np.ndarray:
+    """``a`` in the narrowest of uint8, uint16 and int32 that holds each of
+    its values exactly (masks are 0/1, ids are small), else unchanged."""
+    with np.errstate(invalid="ignore"):  # out-of-range float casts; caught below
+        for dtype in (np.uint8, np.uint16, np.int32):
+            narrow = a.astype(dtype)
+            if np.array_equal(narrow, a):
+                return narrow
+    return a
 
 
 def _encode_turn_into(arrays, row, turn: DialogueTurn, vocab: Vocabulary, config: PredictorConfig):

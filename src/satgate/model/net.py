@@ -9,8 +9,14 @@ embeddings, offset-tagged by distance from the current turn, feed a scaled
 dot-product attention of the current turn over its predecessors; each turn's
 embedding concatenated with that attention output passes through a shared
 fully-connected layer, an elementwise max over real turns, and a sigmoid
-unit. Turns are encoded once per pool row and gathered into windows, so
-overlapping windows share the heavy per-turn work.
+unit.
+
+Turns are encoded once per pool row and gathered into windows, so
+overlapping windows share the heavy per-turn work. Batch scoring
+(``predict_scores``) goes further: it encodes each distinct turn content
+once, however many pool rows hold it. Training does not: a shuffled
+training microbatch repeats little turn content, so it encodes its pool as
+it is.
 """
 
 from __future__ import annotations
@@ -335,16 +341,24 @@ def _encode_pool_backward(params, grads, config, batch: Batch, cache, d_E):
 def forward_batch(params: dict, config: PredictorConfig, batch: Batch, want_cache: bool = False):
     """Probabilities for a batch of windows; optionally keep the activation
     cache for the matching backward pass."""
-    B, T = batch.window_rows.shape
-    D = config.embed_dim
-
     E, pool_cache = _encode_pool(params, config, batch, want_cache)
+    p, cache = _score_windows(params, config, E, batch.window_rows, batch.turn_mask, want_cache)
+    if want_cache:
+        cache["pool"] = pool_cache
+    return p, cache
+
+
+def _score_windows(params, config: PredictorConfig, E, window_rows, turn_mask, want_cache: bool):
+    """Probabilities for windows over turn embeddings ``E``: ``window_rows``
+    (B, T) indexes rows of E and ``turn_mask`` marks the real turns."""
+    B, T = window_rows.shape
+    D = config.embed_dim
 
     # Turn-order information by distance from the current turn, so that front
     # padding never shifts a real turn's offset.
     offsets = np.arange(T - 1, -1, -1)
-    tm = batch.turn_mask
-    e_real = E[batch.window_rows] + params["turn_offset_emb"][offsets][None, :, :]
+    tm = turn_mask
+    e_real = E[window_rows] + params["turn_offset_emb"][offsets][None, :, :]
     e = np.where(tm[..., None] > 0, e_real, params["null_turn"][None, None, :])
 
     q_cur = e[:, T - 1, :]
@@ -371,7 +385,7 @@ def forward_batch(params: dict, config: PredictorConfig, batch: Batch, want_cach
     if not want_cache:
         return p, None
     cache = {
-        "pool": pool_cache, "tm": tm, "e": e, "q_cur": q_cur,
+        "tm": tm, "e": e, "q_cur": q_cur,
         "Q": Q, "K": K, "V": V, "A": A, "z": z, "a": a, "arg": arg,
         "mvec": mvec, "clip_ok": clip_ok, "p": p,
     }
@@ -470,13 +484,31 @@ def loss_and_grad_batch(params, config, batch: Batch, microbatch: int = 256):
 
 
 def predict_scores(params, config, batch: Batch, microbatch: int = 1024) -> np.ndarray:
-    """Forward-only probabilities for every window in the batch."""
+    """Forward-only probabilities for every window in the batch.
+
+    Each distinct turn content in the pool is encoded once, ``microbatch``
+    contents at a time; windows are then scored ``microbatch`` at a time over
+    those embeddings. The result equals ``forward_batch`` on each window.
+    """
+    if microbatch < 1:
+        raise ValueError(f"microbatch must be at least 1, got {microbatch!r}")
     n = len(batch)
     out = np.zeros(n)
+    if n == 0:
+        return out
+    first, inverse = batch.content_groups()
+    E = np.empty((len(first), config.embed_dim))
+    for start in range(0, len(first), microbatch):
+        rows = first[start : start + microbatch]
+        E[start : start + len(rows)], _ = _encode_pool(
+            params, config, batch.pool_rows(rows), want_cache=False
+        )
+    window_rows = inverse[batch.window_rows]
     for start in range(0, n, microbatch):
-        idx = np.arange(start, min(start + microbatch, n))
-        p, _ = forward_batch(params, config, batch.subset(idx), want_cache=False)
-        out[idx] = p
+        w = slice(start, min(start + microbatch, n))
+        out[w], _ = _score_windows(
+            params, config, E, window_rows[w], batch.turn_mask[w], want_cache=False
+        )
     return out
 
 

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from satgate.cli import dispatch
-from satgate.dialog import read_sessions
+from satgate.dialog import Session, read_sessions, write_sessions
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +142,22 @@ def test_eval_report(workdir, ckpt_path, corpus_path):
         pr_rows = list(csv.reader(fh))
     assert pr_rows[0] == ["threshold", "precision", "recall"]
     assert len(pr_rows) == 1 + 101
+
+
+def test_eval_rejects_corpus_without_oracle_labels(workdir, ckpt_path, corpus_path, capsys):
+    sessions = read_sessions(corpus_path)
+    unlabeled = sessions[2].session_id
+    sessions[2] = Session(unlabeled, sessions[2].turns)
+    corpus = workdir / "no-oracle.jsonl"
+    write_sessions(sessions, corpus)
+    code = dispatch([
+        "eval", "--ckpt", str(ckpt_path), "--corpus", str(corpus),
+        "--report", str(workdir / "no-oracle.csv"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("satgate: error: ValueError:")
+    assert f"session {unlabeled} has no oracle labels" in err
 
 
 def test_simulate_report(workdir, ckpt_path, weak_model_path, labeled_path):

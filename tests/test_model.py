@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satgate.dialog import DialogueTurn
+from satgate.dialog import DialogueTurn, Session
 from satgate.model import (
     AGG_ID,
     DESK_CONFIG,
@@ -14,6 +15,7 @@ from satgate.model import (
     CheckpointError,
     PredictorConfig,
     Vocabulary,
+    WindowDataset,
     attend_turns,
     backward,
     encode_turn,
@@ -23,8 +25,10 @@ from satgate.model import (
     init_params,
     load_checkpoint,
     loss,
+    predict_scores,
     save_checkpoint,
 )
+from satgate.model import net
 from satgate.synth import CorpusConfig, generate
 
 from conftest import make_turn
@@ -380,6 +384,78 @@ def test_backward_matches_finite_differences_quick(tiny_setup):
         assert abs(fd - an) / max(abs(fd), abs(an), 1e-6) <= 1e-4
 
 
+# --- batch scoring ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def repeated_setup(tiny_setup):
+    """Windows of a corpus whose turn contents repeat across sessions: every
+    session again, and its first two turns as a session of their own."""
+    sessions, vocab, params = tiny_setup
+    corpus = list(sessions)
+    for s in sessions:
+        corpus.append(Session(s.session_id + "-again", s.turns))
+        corpus.append(Session(s.session_id + "-head", s.turns[:2]))
+    ds = WindowDataset.from_sessions(corpus, vocab, TINY_CONFIG, "none")
+    return ds.batch, params
+
+
+def _row_contents(batch):
+    """Per pool row, every per-turn array the encoder reads, as bytes."""
+    arrays = [batch.text_ids, batch.text_mask, batch.dom_ids, batch.item_ids,
+              batch.slot_key_ids, batch.slot_key_mask, batch.slot_val_ids, batch.slot_val_mask]
+    return [b"|".join(a[r].tobytes() for a in arrays) for r in range(batch.pool_size)]
+
+
+@pytest.mark.parametrize("microbatch", [1, 7, 1024, None])
+def test_predict_scores_equals_per_window_forward(repeated_setup, microbatch):
+    batch, params = repeated_setup
+    n = len(batch)
+    want = np.array([
+        forward_batch(params, TINY_CONFIG, batch.subset(np.array([i])))[0][0] for i in range(n)
+    ])
+    got = predict_scores(params, TINY_CONFIG, batch, microbatch=microbatch or n + 5)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("microbatch", [7, 1024])
+def test_predict_scores_encodes_each_content_once(repeated_setup, monkeypatch, microbatch):
+    batch, params = repeated_setup
+    distinct = set(_row_contents(batch))
+    assert len(distinct) < batch.pool_size  # the corpus does repeat content
+    encoded = []
+    real_encode = net._encode_pool
+
+    def counting_encode(params, config, pool, want_cache):
+        encoded.extend(_row_contents(pool))
+        assert pool.pool_size <= microbatch
+        return real_encode(params, config, pool, want_cache)
+
+    monkeypatch.setattr(net, "_encode_pool", counting_encode)
+    predict_scores(params, TINY_CONFIG, batch, microbatch=microbatch)
+    assert len(encoded) == len(distinct)
+    assert set(encoded) == distinct
+
+
+@pytest.mark.parametrize("field", ["text_ids", "text_mask", "dom_ids", "item_ids", "slot_key_ids",
+                                   "slot_key_mask", "slot_val_ids", "slot_val_mask"])
+def test_content_groups_separate_rows_that_differ_in_any_array(repeated_setup, field):
+    batch, _ = repeated_setup
+    first, inverse = batch.content_groups()
+    assert np.array_equal(inverse[first], np.arange(len(first)))
+    row = int(np.flatnonzero(np.bincount(inverse)[inverse] > 1)[0])  # a repeated content
+    changed = replace(batch, **{field: getattr(batch, field).copy()})
+    values = getattr(changed, field)
+    values.reshape(len(values), -1)[row, 0] += 0.5 if "mask" in field else 1
+    assert len(changed.content_groups()[0]) == len(first) + 1
+
+
+def test_predict_scores_rejects_microbatch_below_one(repeated_setup):
+    batch, params = repeated_setup
+    with pytest.raises(ValueError, match="microbatch must be at least 1, got 0"):
+        predict_scores(params, TINY_CONFIG, batch, microbatch=0)
+
+
 # --- vocabulary and checkpoints ---------------------------------------------------
 
 
@@ -417,3 +493,19 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_truncated_or_corrupt_checkpoint_raises_checkpoint_error(tmp_path, tiny_setup):
+    _, vocab, params = tiny_setup
+    path = tmp_path / "full.ckpt"
+    save_checkpoint(path, TINY_CONFIG, vocab, params)
+    data = path.read_bytes()
+    header_end = 20 + int.from_bytes(data[12:20], "little")
+    cut_path = tmp_path / "cut.ckpt"
+    for cut in (0, 5, 8, 15, 20, 30, header_end - 1, header_end, len(data) - 40, len(data) - 1):
+        cut_path.write_bytes(data[:cut])
+        with pytest.raises(CheckpointError, match="truncated|bad magic"):
+            load_checkpoint(cut_path)
+    cut_path.write_bytes(data[:20] + b"x" + data[21:])  # header no longer JSON
+    with pytest.raises(CheckpointError, match="corrupt checkpoint header"):
+        load_checkpoint(cut_path)

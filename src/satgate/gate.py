@@ -138,34 +138,62 @@ def _turn_ratings(session: Session, rating_source: str) -> list[float]:
     raise ValueError(f"unknown rating source {rating_source!r}")
 
 
+def _clarify_masks(variant: Variant, sessions: list[Session]) -> list[list[bool]]:
+    """Per session, the turns the variant clarifies on. Scores are checked
+    here, once, before any replay: a threshold inside (0, 1), and per session
+    one finite score strictly inside (0, 1) per turn."""
+    if variant.scores is None:
+        return [[False] * len(session.turns) for session in sessions]
+    name = variant.name
+    if not (0.0 < variant.threshold < 1.0):
+        raise ValueError(
+            f"variant {name!r}: threshold must lie strictly in (0, 1), got {variant.threshold!r}"
+        )
+    if len(variant.scores) != len(sessions):
+        raise ValueError(f"variant {name!r} scores do not align with the corpus")
+    lengths = [len(raw) for raw in variant.scores]
+    for session, n in zip(sessions, lengths):
+        if n != len(session.turns):
+            raise ValueError(
+                f"variant {name!r}: session {session.session_id} has {n} scores "
+                f"for {len(session.turns)} turns"
+            )
+    ends = np.cumsum(lengths, dtype=np.int64)
+    flat = np.concatenate([np.zeros(0), *variant.scores])
+    ok = (flat > 0.0) & (flat < 1.0)  # NaN fails both
+    if not ok.all():
+        session = sessions[int(np.searchsorted(ends, np.argmin(ok), side="right"))]
+        raise ValueError(
+            f"variant {name!r}: session {session.session_id} has a score that is not "
+            "a finite value strictly inside (0, 1)"
+        )
+    clarify = (flat < variant.threshold).tolist()
+    return [clarify[end - n : end] for n, end in zip(lengths, ends.tolist())]
+
+
 def _replay_session(
     session: Session,
     ratings: list[float],
-    scores: Optional[np.ndarray],
-    threshold: float,
+    clarify: list[bool],
     behavior: BehaviorModel,
     seed: int,
 ) -> tuple[float, int]:
-    """Average per-turn experience and clarification count for one session."""
+    """Average per-turn experience and clarification count for one session
+    that clarifies on the turns where ``clarify`` is set."""
+    if not any(clarify):  # the seeded draws only decide clarified turns
+        return float(np.mean(ratings)), 0
     sid_key = int(hashlib.sha256(session.session_id.encode("utf-8")).hexdigest()[:12], 16)
     draws = np.random.default_rng([seed, sid_key]).random(len(session.turns))
-    contributions = []
-    clarified = 0
-    for t in range(len(session.turns)):
-        if scores is not None and gate(scores[t], threshold).decision is Decision.CLARIFY:
-            clarified += 1
+    contributions = list(ratings)
+    for t, clarified in enumerate(clarify):
+        if clarified:
             outcome = resolve_clarification(
                 behavior, bool(session.oracle_satisfaction[t]), float(draws[t])
             )
-            contributions.append(
-                cus(
-                    float(outcome.user_satisfied_with_question),
-                    outcome.post_clarification_rating,
-                ).contextual
-            )
-        else:
-            contributions.append(ratings[t])
-    return float(np.mean(contributions)), clarified
+            contributions[t] = cus(
+                float(outcome.user_satisfied_with_question), outcome.post_clarification_rating
+            ).contextual
+    return float(np.mean(contributions)), sum(clarify)
 
 
 def simulate_ab(
@@ -186,9 +214,7 @@ def simulate_ab(
     """
     if not variants:
         raise ValueError("at least one variant is required")
-    for variant in variants:
-        if variant.scores is not None and len(variant.scores) != len(sessions):
-            raise ValueError(f"variant {variant.name!r} scores do not align with the corpus")
+    masks = [_clarify_masks(variant, sessions) for variant in variants]
 
     if paired:
         assignment = None
@@ -215,9 +241,8 @@ def simulate_ab(
             if not session.turns or (assignment is not None and assignment[si] != vi):
                 continue
             ratings = _turn_ratings(session, rating_source)
-            scores = variant.scores[si] if variant.scores is not None else None
             session_score, clarified = _replay_session(
-                session, ratings, scores, variant.threshold, behavior, seed
+                session, ratings, masks[vi][si], behavior, seed
             )
             total_cus += session_score
             total_clarified += clarified

@@ -14,12 +14,13 @@ import struct
 import numpy as np
 
 from .config import PredictorConfig
+from .net import param_shapes
 from .vocab import Vocabulary
 
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError"]
 
 _MAGIC = b"SATGCKPT"
-_VERSION = 1
+_VERSION = 2
 _PREFIX = struct.Struct("<IQ")  # format version, header length
 
 
@@ -78,6 +79,14 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, dict]:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
     config = PredictorConfig.from_dict(header["config"])
     vocab = Vocabulary.from_dict(header["vocab"])
+    expected = param_shapes(config, vocab)
+    found = {entry["name"]: tuple(entry["shape"]) for entry in header["tensors"]}
+    for name in sorted(expected.keys() | found.keys()):
+        if found.get(name) != expected.get(name):
+            raise CheckpointError(
+                f"tensor {name!r} does not match the parameter set: checkpoint shape "
+                f"{found.get(name, 'absent')}, expected {expected.get(name, 'absent')}"
+            )
     params = {}
     for entry in header["tensors"]:
         shape = tuple(entry["shape"])

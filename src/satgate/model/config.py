@@ -10,7 +10,7 @@ __all__ = ["PredictorConfig", "DEPLOYED_CONFIG", "DESK_CONFIG", "TINY_CONFIG"]
 
 @dataclass(frozen=True)
 class PredictorConfig:
-    """Architecture and decision settings.
+    """Architecture settings.
 
     ``num_turns`` is the context window T (current turn plus up to T-1
     previous turns); ``attention_scale`` is the d whose square root divides
@@ -27,7 +27,6 @@ class PredictorConfig:
     num_heads: int = 4
     ffn_dim: Optional[int] = None
     attention_scale: Optional[float] = None
-    decision_threshold: float = 0.7
 
     def __post_init__(self):
         if self.ffn_dim is None:
@@ -46,8 +45,6 @@ class PredictorConfig:
             raise ValueError("embed_dim must be divisible by num_heads")
         if self.attention_scale <= 0:
             raise ValueError("attention_scale must be positive")
-        if not (0.0 < self.decision_threshold < 1.0):
-            raise ValueError("decision_threshold must lie strictly in (0, 1)")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -63,7 +60,6 @@ DEPLOYED_CONFIG = PredictorConfig(
     num_turns=5,
     text_blocks=8,
     struct_blocks=4,
-    decision_threshold=0.7,
 )
 
 # Desk-scale settings for CPU experiments on the synthetic corpus.
@@ -76,7 +72,6 @@ DESK_CONFIG = PredictorConfig(
     struct_blocks=1,
     num_heads=2,
     ffn_dim=80,
-    decision_threshold=0.7,
 )
 
 # Gradient-check settings: small enough for exhaustive finite differences.
@@ -89,5 +84,4 @@ TINY_CONFIG = PredictorConfig(
     struct_blocks=1,
     num_heads=2,
     ffn_dim=16,
-    decision_threshold=0.7,
 )

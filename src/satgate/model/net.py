@@ -5,11 +5,13 @@ gradients.
 Per turn, a text stack attends over the query and voice-response tokens (an
 aggregate slot ahead of the text collects the summary) and a structured stack
 attends over {domain-intent, slots, result item, text summary}. Turn
-embeddings, offset-tagged by distance from the current turn, feed a scaled
-dot-product attention of the current turn over its predecessors; each turn's
-embedding concatenated with that attention output passes through a shared
+embeddings, offset-tagged by distance from the current turn, feed an
+attention of the current turn over its predecessors; each turn's embedding
+concatenated with that attention output passes through a shared
 fully-connected layer, an elementwise max over real turns, and a sigmoid
-unit.
+unit. One scaled dot-product attention primitive (``_attend``, with its
+gradient ``_attend_backward``) serves the blocks of both stacks, the
+cross-turn attention and the public ``attend_turns``.
 
 Turns are encoded once per pool row and gathered into windows, so
 overlapping windows share the heavy per-turn work. Batch scoring
@@ -32,6 +34,7 @@ from .vocab import Vocabulary
 
 __all__ = [
     "init_params",
+    "param_shapes",
     "zeros_grads",
     "attend_turns",
     "encode_turn",
@@ -94,6 +97,29 @@ def _ln_backward(dy, gain, cache):
     return dx, d_gain, d_bias
 
 
+def _attend(q, k, v, key_mask, scale):
+    """Scaled dot-product attention over the last two axes:
+    ``softmax(q k^T / sqrt(scale) + mask) v`` and its weights A. ``key_mask``
+    (q's leading axes, then the key axis; 1 = real key) removes keys from
+    every query's softmax; None keeps them all."""
+    logits = q @ k.swapaxes(-1, -2) / math.sqrt(scale)
+    if key_mask is not None:
+        logits = logits + (key_mask[..., None, :] - 1.0) * _MASK_OFF
+    A = _softmax_last(logits)
+    return A @ v, A
+
+
+def _attend_backward(d_out, q, k, v, A, scale):
+    """Gradients of ``_attend``'s output with respect to q, k and v; masked
+    keys carry zero weight, so their gradients stay zero."""
+    d_A = d_out @ v.swapaxes(-1, -2)
+    d_v = A.swapaxes(-1, -2) @ d_out
+    d_logits = A * (d_A - (d_A * A).sum(axis=-1, keepdims=True))
+    d_q = d_logits @ k / math.sqrt(scale)
+    d_k = d_logits.swapaxes(-1, -2) @ q / math.sqrt(scale)
+    return d_q, d_k, d_v
+
+
 def attend_turns(query_vec, keys, values, d: float) -> np.ndarray:
     """Scaled dot-product attention of one query over previous-turn rows:
     softmax(q K^T / sqrt(d)) V."""
@@ -106,8 +132,7 @@ def attend_turns(query_vec, keys, values, d: float) -> np.ndarray:
         raise ValueError(
             f"shape mismatch: query {q.shape}, keys {K.shape}, values {V.shape}"
         )
-    weights = _softmax_last(K @ q / math.sqrt(d))
-    return weights @ V
+    return _attend(q[None], K, V, None, d)[0][0]
 
 
 # --- parameters -----------------------------------------------------------
@@ -119,46 +144,50 @@ def _block_prefixes(config: PredictorConfig) -> list[str]:
     ]
 
 
+def _param_specs(config: PredictorConfig, vocab: Vocabulary) -> list[tuple]:
+    """Every parameter as (name, shape, init), in the order ``init_params``
+    draws them; ``init`` is the standard deviation of a normal draw, or
+    "zeros" or "ones"."""
+    D, F, T = config.embed_dim, config.ffn_dim, config.num_turns
+    L = config.max_text_len + 1
+    rows = {"tok_emb": vocab.n_tokens, "pos_emb": L, "dom_emb": vocab.n_domains,
+            "slotkey_emb": vocab.n_slot_keys, "item_emb": vocab.n_items, "turn_offset_emb": T}
+    specs = [(name, (n, D), 0.1) for name, n in rows.items()] + [("null_turn", (D,), 0.1)]
+
+    def linear(name, nin, nout):
+        specs.append((name + "_W", (nin, nout), math.sqrt(2.0 / (nin + nout))))
+        specs.append((name + "_b", (nout,), "zeros"))
+
+    for prefix in _block_prefixes(config):
+        for n in "qkvo":
+            specs += [(prefix + "W" + n, (D, D), math.sqrt(1.0 / D)),
+                      (prefix + "b" + n, (D,), "zeros")]
+        specs += [(prefix + "ln1_g", (D,), "ones"), (prefix + "ln1_b", (D,), "zeros")]
+        linear(prefix + "ffn1", D, F)
+        linear(prefix + "ffn2", F, D)
+        specs += [(prefix + "ln2_g", (D,), "ones"), (prefix + "ln2_b", (D,), "zeros")]
+
+    for name in ("cross_q", "cross_k", "cross_v"):
+        linear(name, D, D)
+    linear("head", 2 * D, D)
+    specs += [("out_w", (D,), math.sqrt(1.0 / D)), ("out_b", (), "zeros")]
+    return specs
+
+
+def param_shapes(config: PredictorConfig, vocab: Vocabulary) -> dict:
+    """Name to shape of every parameter ``init_params`` creates; draws no
+    random numbers."""
+    return {name: shape for name, shape, _ in _param_specs(config, vocab)}
+
+
 def init_params(config: PredictorConfig, vocab: Vocabulary, seed: int = 0) -> dict:
     """Fresh parameter dictionary; every array is float64."""
     rng = np.random.default_rng(seed)
-    D, F, T = config.embed_dim, config.ffn_dim, config.num_turns
-    L = config.max_text_len + 1
-
-    def normal(shape, scale):
-        return rng.normal(0.0, scale, shape)
-
-    def linear(p, name, nin, nout):
-        p[name + "_W"] = normal((nin, nout), math.sqrt(2.0 / (nin + nout)))
-        p[name + "_b"] = np.zeros(nout)
-
-    p: dict[str, np.ndarray] = {}
-    p["tok_emb"] = normal((vocab.n_tokens, D), 0.1)
-    p["pos_emb"] = normal((L, D), 0.1)
-    p["dom_emb"] = normal((vocab.n_domains, D), 0.1)
-    p["slotkey_emb"] = normal((vocab.n_slot_keys, D), 0.1)
-    p["item_emb"] = normal((vocab.n_items, D), 0.1)
-    p["turn_offset_emb"] = normal((T, D), 0.1)
-    p["null_turn"] = normal((D,), 0.1)
-
-    for prefix in _block_prefixes(config):
-        for name in ("Wq", "Wk", "Wv", "Wo"):
-            p[prefix + name] = normal((D, D), math.sqrt(1.0 / D))
-            p[prefix + name.replace("W", "b")] = np.zeros(D)
-        p[prefix + "ln1_g"] = np.ones(D)
-        p[prefix + "ln1_b"] = np.zeros(D)
-        linear(p, prefix + "ffn1", D, F)
-        linear(p, prefix + "ffn2", F, D)
-        p[prefix + "ln2_g"] = np.ones(D)
-        p[prefix + "ln2_b"] = np.zeros(D)
-
-    linear(p, "cross_q", D, D)
-    linear(p, "cross_k", D, D)
-    linear(p, "cross_v", D, D)
-    linear(p, "head", 2 * D, D)
-    p["out_w"] = normal((D,), math.sqrt(1.0 / D))
-    p["out_b"] = np.zeros(())
-    return p
+    fills = {"zeros": np.zeros, "ones": np.ones}
+    return {
+        name: fills[init](shape) if isinstance(init, str) else rng.normal(0.0, init, shape)
+        for name, shape, init in _param_specs(config, vocab)
+    }
 
 
 def zeros_grads(params: dict) -> dict:
@@ -178,12 +207,8 @@ def _block_forward(params, prefix, x, key_mask, num_heads):
     H = num_heads
     hd = D // H
 
-    Wqkv = np.concatenate(
-        [params[prefix + "Wq"], params[prefix + "Wk"], params[prefix + "Wv"]], axis=1
-    )
-    bqkv = np.concatenate(
-        [params[prefix + "bq"], params[prefix + "bk"], params[prefix + "bv"]]
-    )
+    Wqkv = np.concatenate([params[prefix + "W" + n] for n in "qkv"], axis=1)
+    bqkv = np.concatenate([params[prefix + "b" + n] for n in "qkv"])
     qkv = x @ Wqkv + bqkv  # (N, L, 3D)
 
     def heads(m):
@@ -192,11 +217,9 @@ def _block_forward(params, prefix, x, key_mask, num_heads):
     q = heads(qkv[..., :D])
     k = heads(qkv[..., D : 2 * D])
     v = heads(qkv[..., 2 * D :])
-    logits = q @ k.swapaxes(-1, -2) / math.sqrt(hd)
-    if key_mask is not None:
-        logits = logits + (key_mask[:, None, None, :] - 1.0) * _MASK_OFF
-    A = _softmax_last(logits)
-    ctx = (A @ v).transpose(0, 2, 1, 3).reshape(N, L, D)
+    mask = None if key_mask is None else key_mask[:, None, :]
+    out, A = _attend(q, k, v, mask, hd)
+    ctx = out.transpose(0, 2, 1, 3).reshape(N, L, D)
     attn = ctx @ params[prefix + "Wo"] + params[prefix + "bo"]
 
     x1, ln1 = _ln_forward(x + attn, params[prefix + "ln1_g"], params[prefix + "ln1_b"])
@@ -237,24 +260,17 @@ def _block_backward(params, grads, prefix, dy, cache, num_heads):
     grads[prefix + "bo"] += d_attn.sum(axis=(0, 1))
     d_ctx = (d_attn @ params[prefix + "Wo"].T).reshape(N, L, H, hd).transpose(0, 2, 1, 3)
 
-    d_A = d_ctx @ v.swapaxes(-1, -2)
-    d_v = A.swapaxes(-1, -2) @ d_ctx
-    d_logits = A * (d_A - (d_A * A).sum(axis=-1, keepdims=True))
-    d_q = d_logits @ k / math.sqrt(hd)
-    d_k = d_logits.swapaxes(-1, -2) @ q / math.sqrt(hd)
+    d_q, d_k, d_v = _attend_backward(d_ctx, q, k, v, A, hd)
 
     def unheads(m):
         return m.transpose(0, 2, 1, 3).reshape(N, L, D)
 
     d_qkv = np.concatenate([unheads(d_q), unheads(d_k), unheads(d_v)], axis=-1)
     gW = x.reshape(-1, D).T @ d_qkv.reshape(-1, 3 * D)
-    grads[prefix + "Wq"] += gW[:, :D]
-    grads[prefix + "Wk"] += gW[:, D : 2 * D]
-    grads[prefix + "Wv"] += gW[:, 2 * D :]
     gb = d_qkv.sum(axis=(0, 1))
-    grads[prefix + "bq"] += gb[:D]
-    grads[prefix + "bk"] += gb[D : 2 * D]
-    grads[prefix + "bv"] += gb[2 * D :]
+    for i, n in enumerate("qkv"):
+        grads[prefix + "W" + n] += gW[:, i * D : (i + 1) * D]
+        grads[prefix + "b" + n] += gb[i * D : (i + 1) * D]
     return dres1 + d_qkv @ cache["Wqkv"].T
 
 
@@ -361,20 +377,20 @@ def _score_windows(params, config: PredictorConfig, E, window_rows, turn_mask, w
     e_real = E[window_rows] + params["turn_offset_emb"][offsets][None, :, :]
     e = np.where(tm[..., None] > 0, e_real, params["null_turn"][None, None, :])
 
-    q_cur = e[:, T - 1, :]
-    Q = q_cur @ params["cross_q_W"] + params["cross_q_b"]
+    Q = e[:, T - 1, :] @ params["cross_q_W"] + params["cross_q_b"]
     K = e @ params["cross_k_W"] + params["cross_k_b"]
     V = e @ params["cross_v_W"] + params["cross_v_b"]
     pmask = tm.copy()
     pmask[:, T - 1] = 0.0
     no_prev = pmask.sum(axis=1) == 0
     pmask[no_prev, T - 1] = 1.0  # a session's first turn attends to itself
-    logits = (Q[:, None, :] * K).sum(axis=-1) / math.sqrt(config.attention_scale)
-    A = _softmax_last(logits + (pmask - 1.0) * _MASK_OFF)
-    O = (A[..., None] * V).sum(axis=1)
+    O, A = _attend(Q[:, None, :], K, V, pmask, config.attention_scale)
+    O = O[:, 0, :]
 
-    z = np.concatenate([e, np.broadcast_to(O[:, None, :], (B, T, D))], axis=-1)
-    a = _act(z @ params["head_W"] + params["head_b"])
+    # The head sees [e_t, O] for every turn t; O's half is the same for all
+    # turns of a window, so it is computed once per window.
+    W = params["head_W"]
+    a = _act(e @ W[:D] + (O @ W[D:] + params["head_b"])[:, None, :])
     a_masked = np.where(tm[..., None] > 0, a, -np.inf)
     arg = a_masked.argmax(axis=1)
     mvec = np.take_along_axis(a_masked, arg[:, None, :], axis=1)[:, 0, :]
@@ -385,9 +401,8 @@ def _score_windows(params, config: PredictorConfig, E, window_rows, turn_mask, w
     if not want_cache:
         return p, None
     cache = {
-        "tm": tm, "e": e, "q_cur": q_cur,
-        "Q": Q, "K": K, "V": V, "A": A, "z": z, "a": a, "arg": arg,
-        "mvec": mvec, "clip_ok": clip_ok, "p": p,
+        "tm": tm, "e": e, "Q": Q, "K": K, "V": V, "A": A, "O": O,
+        "a": a, "arg": arg, "mvec": mvec, "clip_ok": clip_ok, "p": p,
     }
     return p, cache
 
@@ -405,28 +420,25 @@ def _backward_batch(params, config, batch, cache, d_logit):
     d_m = d_logit[:, None] * params["out_w"][None, :]
 
     d_a = np.zeros((B, T, D))
-    b_idx = np.arange(B)[:, None]
-    d_idx = np.arange(D)[None, :]
-    d_a[b_idx, cache["arg"], d_idx] = d_m
+    np.put_along_axis(d_a, cache["arg"][:, None, :], d_m[:, None, :], axis=1)
     d_uh = d_a * _act_grad_from_out(cache["a"])
-    grads["head_W"] += cache["z"].reshape(-1, 2 * D).T @ d_uh.reshape(-1, D)
-    grads["head_b"] += d_uh.sum(axis=(0, 1))
-    d_z = d_uh @ params["head_W"].T
-    d_e = d_z[..., :D].copy()
-    d_O = d_z[..., D:].sum(axis=1)
+    e, W = cache["e"], params["head_W"]
+    e_flat = e.reshape(B * T, D)
+    d_uh_O = d_uh.sum(axis=1)
+    grads["head_W"][:D] += e_flat.T @ d_uh.reshape(B * T, D)
+    grads["head_W"][D:] += cache["O"].T @ d_uh_O
+    grads["head_b"] += d_uh_O.sum(axis=0)
+    d_e = d_uh @ W[:D].T
+    d_O = d_uh_O @ W[D:].T
 
-    A, V, K, Q = cache["A"], cache["V"], cache["K"], cache["Q"]
-    d_A = (d_O[:, None, :] * V).sum(axis=-1)
-    d_V = A[..., None] * d_O[:, None, :]
-    d_lg = A * (d_A - (d_A * A).sum(axis=1, keepdims=True))
-    scale = 1.0 / math.sqrt(config.attention_scale)
-    d_Q = (d_lg[..., None] * K).sum(axis=1) * scale
-    d_K = d_lg[..., None] * Q[:, None, :] * scale
-
-    grads["cross_q_W"] += cache["q_cur"].T @ d_Q
+    d_Q, d_K, d_V = _attend_backward(
+        d_O[:, None, :], cache["Q"][:, None, :], cache["K"], cache["V"], cache["A"],
+        config.attention_scale,
+    )
+    d_Q = d_Q[:, 0, :]
+    grads["cross_q_W"] += e[:, T - 1, :].T @ d_Q
     grads["cross_q_b"] += d_Q.sum(axis=0)
     d_e[:, T - 1, :] += d_Q @ params["cross_q_W"].T
-    e_flat = cache["e"].reshape(B * T, D)
     for name, dm in (("cross_k", d_K), ("cross_v", d_V)):
         grads[name + "_W"] += e_flat.T @ dm.reshape(B * T, D)
         grads[name + "_b"] += dm.sum(axis=(0, 1))

@@ -4,14 +4,13 @@ injection for robustness experiments."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .metrics import auc
 from .model import (
-    Batch,
     PredictorConfig,
     WindowDataset,
     loss_and_grad_batch,
@@ -157,7 +156,7 @@ def train(
     labels = train_ds.batch.labels
     if tconfig.label_noise_rate > 0:
         labels = inject_label_noise(labels, tconfig.label_noise_rate, tconfig.seed)
-    batch = replace_labels(train_ds.batch, labels)
+    batch = replace(train_ds.batch, labels=labels)
 
     rng = np.random.default_rng([tconfig.seed, 0xA11])
     m = zeros_grads(params)
@@ -205,22 +204,3 @@ def train(
         best_epoch=best_epoch,
     )
 
-
-def replace_labels(batch: Batch, labels: np.ndarray) -> Batch:
-    """Same windows, different labels (arrays shared, labels swapped)."""
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.shape != batch.labels.shape:
-        raise ValueError("labels must match the batch size")
-    return Batch(
-        text_ids=batch.text_ids,
-        text_mask=batch.text_mask,
-        dom_ids=batch.dom_ids,
-        item_ids=batch.item_ids,
-        slot_key_ids=batch.slot_key_ids,
-        slot_key_mask=batch.slot_key_mask,
-        slot_val_ids=batch.slot_val_ids,
-        slot_val_mask=batch.slot_val_mask,
-        window_rows=batch.window_rows,
-        turn_mask=batch.turn_mask,
-        labels=labels,
-    )

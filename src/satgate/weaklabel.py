@@ -24,7 +24,6 @@ __all__ = [
     "FeatureExtractor",
     "WeakLabelModel",
     "DegenerateDataError",
-    "extract_features",
     "train_weak_labeler",
     "weak_label",
     "label_corpus",
@@ -231,11 +230,6 @@ class FeatureExtractor:
         )
 
 
-def extract_features(session: Session, n: int, extractor: FeatureExtractor) -> FeatureVector:
-    """The 21 features for turn n; depends only on turns n-1, n, n+1."""
-    return extractor.extract(session, n)
-
-
 def features_matrix(
     sessions: list[Session], extractor: FeatureExtractor
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -263,14 +257,10 @@ class WeakLabelModel:
 
     weights: np.ndarray
     bias: float
-    feature_means: np.ndarray
-    feature_stds: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "feature_means", np.asarray(self.feature_means, dtype=np.float64))
-        object.__setattr__(self, "feature_stds", np.asarray(self.feature_stds, dtype=np.float64))
         object.__setattr__(self, "bias", float(self.bias))
         if w.shape != (NUM_FEATURES,):
             raise ValueError(f"weights must have length {NUM_FEATURES}")
@@ -376,12 +366,7 @@ def train_weak_labeler(
     weights = np.zeros(NUM_FEATURES)
     weights[idx] = w_std / std
     bias = b_std - float(np.sum(w_std * mean / std))
-
-    full_mean = np.zeros(NUM_FEATURES)
-    full_std = np.ones(NUM_FEATURES)
-    full_mean[idx] = mean
-    full_std[idx] = std
-    return WeakLabelModel(weights=weights, bias=bias, feature_means=full_mean, feature_stds=full_std)
+    return WeakLabelModel(weights=weights, bias=bias)
 
 
 def weak_label(model: WeakLabelModel, fv) -> float:
@@ -407,7 +392,7 @@ def label_corpus(
 
 # --- model file -----------------------------------------------------------
 
-_MODEL_FORMAT_VERSION = 1
+_MODEL_FORMAT_VERSION = 2
 
 
 def save_weak_model(path, model: WeakLabelModel, extractor: FeatureExtractor) -> None:
@@ -415,8 +400,6 @@ def save_weak_model(path, model: WeakLabelModel, extractor: FeatureExtractor) ->
         "format_version": _MODEL_FORMAT_VERSION,
         "weights": model.weights.tolist(),
         "bias": model.bias,
-        "feature_means": model.feature_means.tolist(),
-        "feature_stds": model.feature_stds.tolist(),
         "extractor": extractor.to_dict(),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -429,10 +412,5 @@ def load_weak_model(path) -> tuple[WeakLabelModel, FeatureExtractor]:
         record = json.load(fh)
     if record.get("format_version") != _MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported weak-model format: {record.get('format_version')!r}")
-    model = WeakLabelModel(
-        weights=np.asarray(record["weights"]),
-        bias=record["bias"],
-        feature_means=np.asarray(record["feature_means"]),
-        feature_stds=np.asarray(record["feature_stds"]),
-    )
+    model = WeakLabelModel(weights=np.asarray(record["weights"]), bias=record["bias"])
     return model, FeatureExtractor.from_dict(record["extractor"])

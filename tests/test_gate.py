@@ -169,6 +169,21 @@ def test_scores_alignment_validated(corpus):
         simulate_ab(corpus, [Variant("bad", [np.array([0.5])])], seed=0)
 
 
+@pytest.mark.parametrize("bad", ["zero", "one", "nan", "length", "threshold"])
+def test_bad_scores_rejected_naming_the_variant(corpus, bad):
+    scores = oracle_scores(corpus)
+    threshold = 0.7
+    if bad == "length":
+        scores[3] = scores[3][:-1]
+    elif bad == "threshold":
+        threshold = 1.0
+    else:
+        scores[3][0] = {"zero": 0.0, "one": 1.0, "nan": np.nan}[bad]
+    variants = [Variant("none", None), Variant("scored", scores, threshold=threshold)]
+    with pytest.raises(ValueError, match="variant 'scored'"):
+        simulate_ab(corpus, variants, seed=0)
+
+
 def test_reports_sorted_by_cus(corpus):
     variants = [
         Variant("oracle", oracle_scores(corpus)),

@@ -225,6 +225,43 @@ def test_single_token_block_matches_straight_line_recomputation():
     np.testing.assert_allclose(encode_turn(params, config, vocab, turn), expected, atol=1e-12)
 
 
+def test_cross_turn_attention_and_head_match_straight_line_recomputation(tiny_setup):
+    """Three-turn context: recompute the cross-turn attention and the head by
+    hand, over the per-turn embeddings, for windows of one, two and three
+    turns."""
+    sessions, _, _ = tiny_setup
+    config = PredictorConfig(
+        vocab_size=50, max_text_len=6, embed_dim=4, num_turns=3,
+        text_blocks=1, struct_blocks=1, num_heads=1, ffn_dim=8,
+    )
+    vocab = Vocabulary.build(sessions, config.vocab_size)
+    rng = np.random.default_rng(12)
+    # non-zero biases, so that every term of the head shows
+    params = {
+        k: v + rng.normal(0.0, 0.3, v.shape) for k, v in init_params(config, vocab, seed=3).items()
+    }
+    turns = next(s for s in sessions if len(s.turns) >= 3).turns[:3]
+    E = [encode_turn(params, config, vocab, t) for t in turns]
+
+    def linear(name, x):
+        return x @ params[name + "_W"] + params[name + "_b"]
+
+    for n in (1, 2, 3):
+        # real turns, oldest first, tagged by their distance from the current turn
+        e = [E[i] + params["turn_offset_emb"][n - 1 - i] for i in range(n)]
+        previous = e[:-1] or e  # a session's first turn attends to itself
+        q = linear("cross_q", e[-1])
+        logits = np.array([q @ linear("cross_k", x) for x in previous])
+        logits /= math.sqrt(config.attention_scale)
+        w = np.exp(logits - logits.max())
+        w /= w.sum()
+        O = sum(wi * linear("cross_v", x) for wi, x in zip(w, previous))
+        hidden = [np.tanh(linear("head", np.concatenate([x, O]))) for x in e]
+        logit = np.max(hidden, axis=0) @ params["out_w"] + params["out_b"]
+        expected = 1.0 / (1.0 + math.exp(-logit))
+        assert abs(forward(params, config, vocab, list(turns[:n])) - expected) < 1e-12
+
+
 # --- forward -----------------------------------------------------------------
 
 
@@ -284,14 +321,11 @@ def test_deployed_reference_config_accepted():
     assert DEPLOYED_CONFIG.num_turns == 5
     assert DEPLOYED_CONFIG.text_blocks == 8
     assert DEPLOYED_CONFIG.struct_blocks == 4
-    assert DEPLOYED_CONFIG.decision_threshold == 0.7
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         PredictorConfig(embed_dim=10, num_heads=4)
-    with pytest.raises(ValueError):
-        PredictorConfig(decision_threshold=1.0)
     with pytest.raises(ValueError):
         PredictorConfig(text_blocks=0)
     with pytest.raises(ValueError):
@@ -492,6 +526,32 @@ def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", ["rename", "reshape"])
+def test_checkpoint_tensors_checked_against_parameter_set(tmp_path, tiny_setup, edit):
+    _, vocab, params = tiny_setup
+    params = dict(params)
+    if edit == "rename":
+        params["tok_emb_old"] = params.pop("tok_emb")
+        expect = r"tensor 'tok_emb' .* checkpoint shape absent, expected \(\d+, 8\)"
+    else:
+        params["pos_emb"] = params["pos_emb"][:-1]
+        expect = r"tensor 'pos_emb' .* checkpoint shape \(6, 8\), expected \(7, 8\)"
+    path = tmp_path / "edited.ckpt"
+    save_checkpoint(path, TINY_CONFIG, vocab, params)
+    with pytest.raises(CheckpointError, match=expect):
+        load_checkpoint(path)
+
+
+def test_checkpoint_of_older_version_rejected(tmp_path, tiny_setup):
+    _, vocab, params = tiny_setup
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, TINY_CONFIG, vocab, params)
+    data = path.read_bytes()
+    path.write_bytes(data[:8] + (1).to_bytes(4, "little") + data[12:])
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
         load_checkpoint(path)
 
 

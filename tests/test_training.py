@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,13 +121,11 @@ def test_training_loss_finite_throughout(tiny_data):
 
 
 def test_non_finite_loss_aborts_with_batch_index(tiny_data):
-    from satgate.training import replace_labels
-
     vocab, train_ds, val_ds = tiny_data
     bad_labels = train_ds.batch.labels.copy()
     bad_labels[0] = np.nan
     poisoned = WindowDataset(
-        replace_labels(train_ds.batch, bad_labels),
+        replace(train_ds.batch, labels=bad_labels),
         train_ds.session_index,
         train_ds.turn_index,
     )

@@ -12,7 +12,6 @@ from satgate.weaklabel import (
     FeatureExtractor,
     FeatureVector,
     WeakLabelModel,
-    extract_features,
     features_matrix,
     fit_logistic,
     label_corpus,
@@ -35,27 +34,27 @@ def _session(turns, **kw):
 def test_identical_consecutive_queries_give_similarity_one(small_extractor):
     t0 = make_turn(timestamp=0.0)
     t1 = make_turn(timestamp=5.0)
-    fv = extract_features(_session([t0, t1]), 0, small_extractor)
+    fv = small_extractor.extract(_session([t0, t1]), 0)
     assert fv.values[15] == 1.0
 
 
 def test_utterance_length_counts_tokens(small_extractor):
     turn = make_turn(query="play music")
-    fv = extract_features(_session([turn]), 0, small_extractor)
+    fv = small_extractor.extract(_session([turn]), 0)
     assert fv.values[10] == 2.0
 
 
 def test_negation_prompt_in_next_turn(small_extractor):
     t0 = make_turn(timestamp=0.0)
     t1 = make_turn(query="no that is wrong", timestamp=3.0)
-    fv = extract_features(_session([t0, t1]), 0, small_extractor)
+    fv = small_extractor.extract(_session([t0, t1]), 0)
     assert fv.values[5] == 1.0
     assert fv.values[4] == 0.0  # current turn has no negation word
 
 
 def test_absent_next_turn_defaults(small_extractor):
     turn = make_turn()
-    fv = extract_features(_session([turn]), 0, small_extractor)
+    fv = small_extractor.extract(_session([turn]), 0)
     assert fv.values[1] == 300.0     # time-difference sentinel
     assert fv.values[11] == 1.0      # next asr confidence
     assert fv.values[12] == 1.0      # next nlu confidence
@@ -66,7 +65,7 @@ def test_absent_next_turn_defaults(small_extractor):
 def test_confidences_and_time_difference(small_extractor):
     t0 = make_turn(timestamp=0.0, asr_confidence=0.8, nlu_confidence=0.7)
     t1 = make_turn(timestamp=42.5, asr_confidence=0.6, nlu_confidence=0.5)
-    fv = extract_features(_session([t0, t1]), 0, small_extractor)
+    fv = small_extractor.extract(_session([t0, t1]), 0)
     assert fv.values[0] == 0.8
     assert fv.values[13] == 0.7
     assert fv.values[1] == 42.5
@@ -76,18 +75,18 @@ def test_confidences_and_time_difference(small_extractor):
 
 def test_bounds_error(small_extractor):
     with pytest.raises(IndexError):
-        extract_features(_session([make_turn()]), 1, small_extractor)
+        small_extractor.extract(_session([make_turn()]), 1)
 
 
 def test_feature_purity(small_corpus, small_extractor):
     """The vector for turn n depends only on turns n-1, n, n+1."""
     session = next(s for s in small_corpus if len(s.turns) >= 4)
     n = 1
-    before = extract_features(session, n, small_extractor).values
+    before = small_extractor.extract(session, n).values
     mutated_turns = list(session.turns)
     mutated_turns[3] = make_turn(query="completely different words", timestamp=mutated_turns[3].timestamp)
     mutated = Session(session.session_id, tuple(mutated_turns))
-    after = extract_features(mutated, n, small_extractor).values
+    after = small_extractor.extract(mutated, n).values
     assert np.array_equal(before, after)
 
 
@@ -114,29 +113,20 @@ def test_extractor_roundtrip(small_extractor):
 
 
 def test_zero_model_predicts_half():
-    model = WeakLabelModel(
-        weights=np.zeros(NUM_FEATURES), bias=0.0,
-        feature_means=np.zeros(NUM_FEATURES), feature_stds=np.ones(NUM_FEATURES),
-    )
+    model = WeakLabelModel(weights=np.zeros(NUM_FEATURES), bias=0.0)
     fv = FeatureVector(np.zeros(NUM_FEATURES))
     assert weak_label(model, fv) == 0.5
 
 
 def test_large_bias_saturates():
-    model = WeakLabelModel(
-        weights=np.zeros(NUM_FEATURES), bias=20.0,
-        feature_means=np.zeros(NUM_FEATURES), feature_stds=np.ones(NUM_FEATURES),
-    )
+    model = WeakLabelModel(weights=np.zeros(NUM_FEATURES), bias=20.0)
     assert weak_label(model, FeatureVector(np.zeros(NUM_FEATURES))) > 0.999
 
 
 def test_weak_label_matches_scalar_recomputation(rng):
     weights = rng.normal(size=NUM_FEATURES)
     bias = float(rng.normal())
-    model = WeakLabelModel(
-        weights=weights, bias=bias,
-        feature_means=np.zeros(NUM_FEATURES), feature_stds=np.ones(NUM_FEATURES),
-    )
+    model = WeakLabelModel(weights=weights, bias=bias)
     values = rng.uniform(0, 1, NUM_FEATURES)
     dot = bias
     for w, v in zip(weights, values):
@@ -268,9 +258,6 @@ def test_model_file_roundtrip(tmp_path, small_corpus, small_extractor):
 @settings(max_examples=30, deadline=None)
 @given(st.floats(0.01, 0.99), st.floats(-3, 3))
 def test_weak_label_strictly_inside_unit_interval(value, w):
-    model = WeakLabelModel(
-        weights=np.full(NUM_FEATURES, w), bias=0.0,
-        feature_means=np.zeros(NUM_FEATURES), feature_stds=np.ones(NUM_FEATURES),
-    )
+    model = WeakLabelModel(weights=np.full(NUM_FEATURES, w), bias=0.0)
     p = weak_label(model, np.full(NUM_FEATURES, value))
     assert 0.0 < p < 1.0

@@ -3,8 +3,10 @@
 Each run resolves its full configuration (defaults included), executes, and
 writes a manifest JSON next to its primary output with the resolved
 configuration, input/output paths, seed, and output checksums. Reruns with
-identical inputs produce byte-identical outputs; nothing here consults clocks
-or environment variables.
+identical inputs produce byte-identical outputs on the same numpy/BLAS build
+with the same BLAS thread count (a different thread count can move the last
+bits of trained weights); nothing here consults clocks or environment
+variables.
 """
 
 from __future__ import annotations
@@ -130,14 +132,10 @@ def _cmd_extract_features(args) -> int:
 
 def _cmd_train_weak(args) -> int:
     sessions = read_sessions(args.labeled)
+    labels = [session.labels(args.labels) for session in sessions]
     extractor = weaklabel.FeatureExtractor.fit(sessions)
     X, index = weaklabel.features_matrix(sessions, extractor)
-    if args.labels == "oracle":
-        y = np.array(
-            [sessions[si].oracle_satisfaction[ti] for si, ti in index], dtype=np.float64
-        )
-    else:
-        y = np.array([sessions[si].weak_labels[ti] for si, ti in index], dtype=np.float64)
+    y = np.array([labels[si][ti] for si, ti in index], dtype=np.float64)
     if args.max_samples is not None and args.max_samples < len(y):
         keep = np.random.default_rng(args.seed or 0).permutation(len(y))[: args.max_samples]
         X, y = X[keep], y[keep]

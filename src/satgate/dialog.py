@@ -137,6 +137,16 @@ class Session:
             weak_labels=tuple(labels),
         )
 
+    def labels(self, source: str) -> tuple:
+        """The per-turn "oracle" satisfaction bits or "weak" labels, else a
+        ValueError naming the session."""
+        if source not in ("oracle", "weak"):
+            raise ValueError(f"unknown label source {source!r}")
+        labels = self.oracle_satisfaction if source == "oracle" else self.weak_labels
+        if labels is None:
+            raise ValueError(f"session {self.session_id} has no {source} labels")
+        return labels
+
 
 # --- JSONL serialization -------------------------------------------------
 #

@@ -126,18 +126,6 @@ def _session_bucket(session_id: str) -> float:
     return int(digest[:12], 16) / float(1 << 48)
 
 
-def _turn_ratings(session: Session, rating_source: str) -> list[float]:
-    if rating_source == "oracle":
-        if session.oracle_satisfaction is None:
-            raise ValueError(f"session {session.session_id} has no oracle ratings")
-        return [float(v) for v in session.oracle_satisfaction]
-    if rating_source == "weak":
-        if session.weak_labels is None:
-            raise ValueError(f"session {session.session_id} has no weak labels")
-        return [float(v) for v in session.weak_labels]
-    raise ValueError(f"unknown rating source {rating_source!r}")
-
-
 def _clarify_masks(variant: Variant, sessions: list[Session]) -> list[list[bool]]:
     """Per session, the turns the variant clarifies on. Scores are checked
     here, once, before any replay: a threshold inside (0, 1), and per session
@@ -231,23 +219,34 @@ def simulate_ab(
         ]
         assignment = [min(a, len(variants) - 1) for a in assignment]
 
+    # The sessions each variant replays; every label a replay reads is checked
+    # here, before any replay runs.
+    replays = [
+        [si for si, s in enumerate(sessions)
+         if s.turns and (assignment is None or assignment[si] == vi)]
+        for vi in range(len(variants))
+    ]
+    ratings = {}
+    for vi, replayed in enumerate(replays):
+        for si in replayed:
+            if si not in ratings:
+                ratings[si] = [float(v) for v in sessions[si].labels(rating_source)]
+            if any(masks[vi][si]):  # clarifications resolve against the oracle
+                sessions[si].labels("oracle")
+
     reports = []
     for vi, variant in enumerate(variants):
         total_cus = 0.0
         total_clarified = 0
         total_turns = 0
-        n_sessions = 0
-        for si, session in enumerate(sessions):
-            if not session.turns or (assignment is not None and assignment[si] != vi):
-                continue
-            ratings = _turn_ratings(session, rating_source)
+        for si in replays[vi]:
             session_score, clarified = _replay_session(
-                session, ratings, masks[vi][si], behavior, seed
+                sessions[si], ratings[si], masks[vi][si], behavior, seed
             )
             total_cus += session_score
             total_clarified += clarified
-            total_turns += len(session.turns)
-            n_sessions += 1
+            total_turns += len(sessions[si].turns)
+        n_sessions = len(replays[vi])
         reports.append(
             VariantReport(
                 name=variant.name,

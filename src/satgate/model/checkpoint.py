@@ -77,10 +77,16 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, dict]:
         header = json.loads(raw_header.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
-    config = PredictorConfig.from_dict(header["config"])
-    vocab = Vocabulary.from_dict(header["vocab"])
+    if not isinstance(header, dict):
+        raise CheckpointError("corrupt checkpoint header: not a JSON object")
+    config = _header_field(header, "config", PredictorConfig.from_dict)
+    vocab = _header_field(header, "vocab", Vocabulary.from_dict)
+    tensors = _header_field(
+        header, "tensors",
+        lambda entries: [(e["name"], tuple(e["shape"]), int(e["offset"])) for e in entries],
+    )
     expected = param_shapes(config, vocab)
-    found = {entry["name"]: tuple(entry["shape"]) for entry in header["tensors"]}
+    found = {name: shape for name, shape, _ in tensors}
     for name in sorted(expected.keys() | found.keys()):
         if found.get(name) != expected.get(name):
             raise CheckpointError(
@@ -88,16 +94,27 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, dict]:
                 f"{found.get(name, 'absent')}, expected {expected.get(name, 'absent')}"
             )
     params = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
+    for name, shape, start in tensors:
         count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
         end = start + 8 * count
         if end > len(payload):
             raise CheckpointError(
-                f"truncated checkpoint: tensor {entry['name']!r} needs payload bytes "
+                f"truncated checkpoint: tensor {name!r} needs payload bytes "
                 f"{start}..{end}, but the payload holds {len(payload)}"
             )
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-        params[entry["name"]] = arr.reshape(shape).copy()
+        params[name] = arr.reshape(shape).copy()
     return config, vocab, params
+
+
+def _header_field(header: dict, field: str, parse):
+    """``parse(header[field])``, with a missing or malformed field raised as a
+    CheckpointError that names it."""
+    if field not in header:
+        raise CheckpointError(f"corrupt checkpoint header: no {field!r}")
+    try:
+        return parse(header[field])
+    except KeyError as exc:
+        raise CheckpointError(f"corrupt checkpoint header: {field!r} lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint header: bad {field!r}: {exc}") from exc

@@ -1,15 +1,21 @@
-"""Encoding of sessions into padded id arrays and per-turn prediction windows.
+"""Encoding of sessions into a pool of distinct turn contents and per-turn
+prediction windows.
 
-Turns are stored once in flat arrays; a window is a row of indices into them
-(the turn itself plus up to ``num_turns - 1`` predecessors, front-padded and
-masked when the history is shorter). Consecutive windows of a session share
-turn rows, so the per-turn encoder runs once per turn, not once per window
-slot.
+A turn's content is what the per-turn encoder reads: its text ids (after
+vocabulary lookup and ``max_text_len`` truncation), its domain-intent and
+result-item ids, and its slot-key and slot-value ids (after the
+``MAX_SLOTS`` and ``MAX_SLOT_VALUE_TOKENS`` cuts). The pool holds each
+distinct content once, and a window is a row of pool indices (the turn
+itself plus up to ``num_turns - 1`` predecessors, front-padded and masked
+when the history is shorter). Turns that repeat content, within a session or
+across the corpus, share one pool row, so training, batch scoring and online
+gating all run the per-turn encoder once per distinct content.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -51,8 +57,9 @@ class Batch:
     def pool_size(self) -> int:
         return self.text_ids.shape[0]
 
-    def pool_rows(self, rows: np.ndarray) -> "Batch":
-        """Pool rows ``rows`` as a batch of their own, holding no windows."""
+    def pool_rows(self, rows) -> "Batch":
+        """Pool rows ``rows`` (an index array or a slice) as a batch of their
+        own, holding no windows."""
         T = self.window_rows.shape[1]
         return Batch(
             **{name: getattr(self, name)[rows] for name in _POOL_FIELDS},
@@ -62,7 +69,8 @@ class Batch:
         )
 
     def subset(self, index: np.ndarray) -> "Batch":
-        """Windows ``index`` with the turn pool shrunk to the rows they use."""
+        """Windows ``index`` with the turn pool shrunk to the rows they use;
+        a pool of distinct contents stays one."""
         rows = self.window_rows[index]
         used, inverse = np.unique(rows, return_inverse=True)
         return replace(
@@ -72,29 +80,6 @@ class Batch:
             labels=self.labels[index],
         )
 
-    def content_groups(self) -> tuple[np.ndarray, np.ndarray]:
-        """Pool rows grouped by content: ``(first, inverse)``, where ``first``
-        holds one pool row per distinct content and ``inverse[r]`` is the
-        position in ``first`` of row ``r``'s content.
-
-        A row's content is every per-turn array the turn encoder reads, so rows
-        of one content encode to the same embedding. The key is built from
-        each array in the narrowest exact integer type, which keeps it a small
-        fraction of the pool's own size.
-        """
-        key = np.concatenate(
-            [
-                np.ascontiguousarray(_narrowest(getattr(self, name)))
-                .reshape(self.pool_size, -1)
-                .view(np.uint8)
-                for name in _POOL_FIELDS
-            ],
-            axis=1,
-        )
-        rows = key.view(np.dtype((np.void, key.shape[1]))).ravel()
-        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-        return first, inverse
-
 
 # Every per-turn (pool) array of a Batch; the rest are per window.
 _POOL_FIELDS = tuple(
@@ -102,49 +87,64 @@ _POOL_FIELDS = tuple(
 )
 
 
-def _narrowest(a: np.ndarray) -> np.ndarray:
-    """``a`` in the narrowest of uint8, uint16 and int32 that holds each of
-    its values exactly (masks are 0/1, ids are small), else unchanged."""
-    with np.errstate(invalid="ignore"):  # out-of-range float casts; caught below
-        for dtype in (np.uint8, np.uint16, np.int32):
-            narrow = a.astype(dtype)
-            if np.array_equal(narrow, a):
-                return narrow
-    return a
-
-
-def _encode_turn_into(arrays, row, turn: DialogueTurn, vocab: Vocabulary, config: PredictorConfig):
-    if len(turn.query) == 0:
-        raise ValueError("cannot encode a turn with an empty query")
-    text_ids, text_mask, dom_ids, item_ids, key_ids, key_mask, val_ids, val_mask = arrays
-    text_ids[row, 0] = AGG_ID
-    text_mask[row, 0] = 1.0
-    text = [vocab.token_id(t) for t in turn.query + turn.voice_response]
-    text = text[: config.max_text_len]
-    text_ids[row, 1 : 1 + len(text)] = text
-    text_mask[row, 1 : 1 + len(text)] = 1.0
-    dom_ids[row] = vocab.domain_id(turn.domain_intent)
-    item_ids[row] = vocab.item_id(turn.result_item)
-    for s, (key, value) in enumerate(turn.slots[:MAX_SLOTS]):
-        key_ids[row, s] = vocab.slot_key_id(key)
-        key_mask[row, s] = 1.0
-        vtoks = [vocab.token_id(t) for t in value[:MAX_SLOT_VALUE_TOKENS]]
-        val_ids[row, s, : len(vtoks)] = vtoks
-        val_mask[row, s, : len(vtoks)] = 1.0
-
-
-def _alloc_turn_arrays(m: int, config: PredictorConfig):
-    L = config.max_text_len + 1  # one aggregate slot ahead of the text budget
-    return (
-        np.full((m, L), PAD_ID, dtype=np.int64),
-        np.zeros((m, L)),
-        np.zeros(m, dtype=np.int64),
-        np.zeros(m, dtype=np.int64),
-        np.zeros((m, MAX_SLOTS), dtype=np.int64),
-        np.zeros((m, MAX_SLOTS)),
-        np.zeros((m, MAX_SLOTS, MAX_SLOT_VALUE_TOKENS), dtype=np.int64),
-        np.zeros((m, MAX_SLOTS, MAX_SLOT_VALUE_TOKENS)),
+def _content_key(turn: DialogueTurn, vocab: Vocabulary, config: PredictorConfig) -> tuple:
+    """The ids of ``turn`` that the encoder reads: (text ids, domain id, item
+    id, per kept slot (key id, value ids)). Masks follow from the lengths."""
+    text = (turn.query + turn.voice_response)[: config.max_text_len]
+    text = tuple(vocab.token_id(t) for t in text)
+    slots = tuple(
+        (vocab.slot_key_id(key), tuple(vocab.token_id(t) for t in value[:MAX_SLOT_VALUE_TOKENS]))
+        for key, value in turn.slots[:MAX_SLOTS]
     )
+    return text, vocab.domain_id(turn.domain_intent), vocab.item_id(turn.result_item), slots
+
+
+def _build(
+    sessions: Sequence[Sequence[DialogueTurn]], vocab: Vocabulary, config: PredictorConfig
+) -> tuple[Batch, np.ndarray]:
+    """One window per turn of every session, over a pool holding each distinct
+    content key once (in order of first appearance). Returns the batch, with
+    zero labels, and each window's turn index within its session."""
+    rows: dict[tuple, int] = {}
+    turn_rows: list[int] = []
+    turn_index: list[int] = []
+    for turns in sessions:
+        for turn in turns:
+            turn_rows.append(rows.setdefault(_content_key(turn, vocab, config), len(rows)))
+        turn_index.extend(range(len(turns)))
+    keys = list(rows)
+
+    # Masks follow from the lengths; boolean-mask assignment then fills the
+    # ids in row-major order, the order of the keys.
+    m, L = len(keys), config.max_text_len + 1  # one aggregate slot ahead of the text
+    n_slots = np.fromiter((len(k[3]) for k in keys), np.int64, m)
+    key_mask = (np.arange(MAX_SLOTS) < n_slots[:, None]).astype(np.float64)
+    val_len = np.zeros((m, MAX_SLOTS), dtype=np.int64)
+    val_len[key_mask > 0] = [len(v) for k in keys for _, v in k[3]]
+    val_mask = (np.arange(MAX_SLOT_VALUE_TOKENS) < val_len[..., None]).astype(np.float64)
+    text_len = np.fromiter((len(k[0]) for k in keys), np.int64, m)
+    text_mask = (np.arange(L) <= text_len[:, None]).astype(np.float64)
+    text_ids = np.full((m, L), PAD_ID, dtype=np.int64)
+    text_ids[:, 0] = AGG_ID
+    text_ids[:, 1:][text_mask[:, 1:] > 0] = [t for k in keys for t in k[0]]
+    key_ids = np.zeros(key_mask.shape, dtype=np.int64)
+    key_ids[key_mask > 0] = [key for k in keys for key, _ in k[3]]
+    val_ids = np.zeros(val_mask.shape, dtype=np.int64)
+    val_ids[val_mask > 0] = [t for k in keys for _, v in k[3] for t in v]
+
+    # Window slot j holds the turn ``back[j]`` turns before the window's own,
+    # when its session has one; padded slots point at row 0.
+    turn_rows, turn_index = np.asarray(turn_rows, np.int64), np.asarray(turn_index, np.int64)
+    back = np.arange(config.num_turns - 1, -1, -1)
+    turn_mask = (turn_index[:, None] >= back).astype(np.float64)
+    source = np.maximum(np.arange(len(turn_rows))[:, None] - back, 0)
+    window_rows = np.where(turn_mask > 0, turn_rows[source], 0)
+
+    dom_ids = np.fromiter((k[1] for k in keys), np.int64, m)
+    item_ids = np.fromiter((k[2] for k in keys), np.int64, m)
+    batch = Batch(text_ids, text_mask, dom_ids, item_ids, key_ids, key_mask, val_ids, val_mask,
+                  window_rows, turn_mask, labels=np.zeros(len(turn_rows)))
+    return batch, turn_index
 
 
 def encode_window(
@@ -157,18 +157,11 @@ def encode_window(
     T = config.num_turns
     if not (1 <= len(window) <= T):
         raise ValueError(f"window must hold between 1 and {T} turns, got {len(window)}")
-    arrays = _alloc_turn_arrays(len(window), config)
-    for row, turn in enumerate(window):
-        _encode_turn_into(arrays, row, turn, vocab, config)
-    offset = T - len(window)
-    window_rows = np.zeros((1, T), dtype=np.int64)
-    turn_mask = np.zeros((1, T))
-    window_rows[0, offset:] = np.arange(len(window))
-    turn_mask[0, offset:] = 1.0
-    return Batch(
-        *arrays,
-        window_rows=window_rows,
-        turn_mask=turn_mask,
+    batch, _ = _build([window], vocab, config)
+    return replace(
+        batch,
+        window_rows=batch.window_rows[-1:],
+        turn_mask=batch.turn_mask[-1:],
         labels=np.asarray([float(label)]),
     )
 
@@ -200,36 +193,12 @@ class WindowDataset:
         "none" (labels zero, for scoring-only datasets)."""
         if label_source not in ("weak", "oracle", "none"):
             raise ValueError(f"unknown label_source {label_source!r}")
-        T = config.num_turns
-        n = sum(len(s.turns) for s in sessions)
-        arrays = _alloc_turn_arrays(n, config)
-        window_rows = np.zeros((n, T), dtype=np.int64)
-        turn_mask = np.zeros((n, T))
-        labels = np.zeros(n)
-        session_index = np.zeros(n, dtype=np.int64)
-        turn_index = np.zeros(n, dtype=np.int64)
-
-        row = 0
-        for si, session in enumerate(sessions):
-            if label_source == "weak" and session.weak_labels is None:
-                raise ValueError(f"session {session.session_id} has no weak labels")
-            if label_source == "oracle" and session.oracle_satisfaction is None:
-                raise ValueError(f"session {session.session_id} has no oracle labels")
-            first = row
-            for ti in range(len(session.turns)):
-                _encode_turn_into(arrays, row, session.turns[ti], vocab, config)
-                start = max(0, ti - T + 1)
-                width = ti - start + 1
-                window_rows[row, T - width :] = np.arange(first + start, first + ti + 1)
-                turn_mask[row, T - width :] = 1.0
-                if label_source == "weak":
-                    labels[row] = session.weak_labels[ti]
-                elif label_source == "oracle":
-                    labels[row] = float(session.oracle_satisfaction[ti])
-                session_index[row] = si
-                turn_index[row] = ti
-                row += 1
-        batch = Batch(
-            *arrays, window_rows=window_rows, turn_mask=turn_mask, labels=labels
+        if label_source == "none":
+            labels = np.zeros(sum(len(s.turns) for s in sessions))
+        else:
+            labels = np.asarray([v for s in sessions for v in s.labels(label_source)], np.float64)
+        batch, turn_index = _build([s.turns for s in sessions], vocab, config)
+        session_index = np.repeat(
+            np.arange(len(sessions), dtype=np.int64), [len(s.turns) for s in sessions]
         )
-        return cls(batch, session_index, turn_index)
+        return cls(replace(batch, labels=labels), session_index, turn_index)

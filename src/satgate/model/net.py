@@ -13,12 +13,10 @@ unit. One scaled dot-product attention primitive (``_attend``, with its
 gradient ``_attend_backward``) serves the blocks of both stacks, the
 cross-turn attention and the public ``attend_turns``.
 
-Turns are encoded once per pool row and gathered into windows, so
-overlapping windows share the heavy per-turn work. Batch scoring
-(``predict_scores``) goes further: it encodes each distinct turn content
-once, however many pool rows hold it. Training does not: a shuffled
-training microbatch repeats little turn content, so it encodes its pool as
-it is.
+Turns are encoded once per pool row and gathered into windows. The pool
+(``data.py``) holds each distinct turn content once, so training, batch
+scoring and online gating all run the heavy per-turn work once per distinct
+content, however many windows and window slots share it.
 """
 
 from __future__ import annotations
@@ -280,8 +278,6 @@ def _block_backward(params, grads, prefix, dy, cache, num_heads):
 def _encode_pool(params, config: PredictorConfig, batch: Batch, want_cache: bool):
     """Turn embeddings E (pool rows), running both per-turn stacks once per
     pool row."""
-    M, L = batch.text_ids.shape
-    D = config.embed_dim
     tok = params["tok_emb"]
 
     x = tok[batch.text_ids] + params["pos_emb"][None, :, :]
@@ -474,7 +470,8 @@ def loss_and_grad_batch(params, config, batch: Batch, microbatch: int = 256):
 
     Windows are processed in fixed index order, in chunks, and per-window
     gradients are summed before the final division, so the result does not
-    depend on the chunk size.
+    depend on the chunk size up to float rounding (the chunking decides the
+    order in which gradients are summed).
     """
     n = len(batch)
     total = zeros_grads(params)
@@ -498,28 +495,25 @@ def loss_and_grad_batch(params, config, batch: Batch, microbatch: int = 256):
 def predict_scores(params, config, batch: Batch, microbatch: int = 1024) -> np.ndarray:
     """Forward-only probabilities for every window in the batch.
 
-    Each distinct turn content in the pool is encoded once, ``microbatch``
-    contents at a time; windows are then scored ``microbatch`` at a time over
-    those embeddings. The result equals ``forward_batch`` on each window.
+    The pool holds each distinct turn content once; its rows are encoded
+    ``microbatch`` at a time, and windows are then scored ``microbatch`` at a
+    time over those embeddings. The result equals ``forward_batch`` on each
+    window.
     """
     if microbatch < 1:
         raise ValueError(f"microbatch must be at least 1, got {microbatch!r}")
-    n = len(batch)
+    n, M = len(batch), batch.pool_size
     out = np.zeros(n)
     if n == 0:
         return out
-    first, inverse = batch.content_groups()
-    E = np.empty((len(first), config.embed_dim))
-    for start in range(0, len(first), microbatch):
-        rows = first[start : start + microbatch]
-        E[start : start + len(rows)], _ = _encode_pool(
-            params, config, batch.pool_rows(rows), want_cache=False
-        )
-    window_rows = inverse[batch.window_rows]
+    E = np.empty((M, config.embed_dim))
+    for start in range(0, M, microbatch):
+        rows = slice(start, start + microbatch)
+        E[rows], _ = _encode_pool(params, config, batch.pool_rows(rows), want_cache=False)
     for start in range(0, n, microbatch):
-        w = slice(start, min(start + microbatch, n))
+        w = slice(start, start + microbatch)
         out[w], _ = _score_windows(
-            params, config, E, window_rows[w], batch.turn_mask[w], want_cache=False
+            params, config, E, batch.window_rows[w], batch.turn_mask[w], want_cache=False
         )
     return out
 

@@ -160,6 +160,23 @@ def test_eval_rejects_corpus_without_oracle_labels(workdir, ckpt_path, corpus_pa
     assert f"session {unlabeled} has no oracle labels" in err
 
 
+@pytest.mark.parametrize("labels", ["oracle", "weak"])
+def test_train_weak_rejects_corpus_without_the_labels(workdir, corpus_path, labels, capsys):
+    sessions = read_sessions(corpus_path)
+    unlabeled = sessions[3].session_id
+    sessions = [s.with_weak_labels([0.5] * len(s.turns)) for s in sessions]
+    sessions[3] = Session(unlabeled, sessions[3].turns)
+    corpus = workdir / f"no-{labels}.jsonl"
+    write_sessions(sessions, corpus)
+    code = dispatch([
+        "train-weak", "--labeled", str(corpus), "--out", str(workdir / f"no-{labels}.json"),
+        "--labels", labels,
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"satgate: error: ValueError: session {unlabeled} has no {labels} labels" in err
+
+
 def test_simulate_report(workdir, ckpt_path, weak_model_path, labeled_path):
     variants = workdir / "variants.json"
     variants.write_text(json.dumps({

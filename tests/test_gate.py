@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from satgate.dialog import Session
 from satgate.gate import (
     BehaviorModel,
     Decision,
@@ -194,3 +195,18 @@ def test_reports_sorted_by_cus(corpus):
     )
     values = [r.avg_cus for r in reports]
     assert values == sorted(values)
+
+
+def test_weak_rated_replay_needs_oracle_labels_for_clarified_turns(corpus):
+    """Ratings come from the weak labels, but a clarification is resolved
+    against the oracle; a session without it fails before any replay."""
+    sessions = [Session(s.session_id, s.turns, weak_labels=[0.5] * len(s.turns))
+                for s in corpus[:20]]
+    never = _scored_variants(sessions, lambda s, t: 0.9, name="never")
+    reports = simulate_ab(sessions, [never], rating_source="weak", paired=True)
+    assert reports[0].avg_cus == pytest.approx(0.5)
+    always = _scored_variants(sessions, lambda s, t: 0.1, name="always")
+    with pytest.raises(ValueError, match=f"session {sessions[0].session_id} has no oracle labels"):
+        simulate_ab(sessions, [never, always], rating_source="weak", paired=True)
+    with pytest.raises(ValueError, match=f"session {corpus[0].session_id} has no weak labels"):
+        simulate_ab(corpus[:20], [never], rating_source="weak", paired=True)

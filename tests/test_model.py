@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -32,6 +33,10 @@ from satgate.model import net
 from satgate.synth import CorpusConfig, generate
 
 from conftest import make_turn
+
+# Every per-turn (pool) array of a Batch.
+_POOL_ARRAYS = ("text_ids", "text_mask", "dom_ids", "item_ids",
+                "slot_key_ids", "slot_key_mask", "slot_val_ids", "slot_val_mask")
 
 
 @pytest.fixture(scope="module")
@@ -154,12 +159,20 @@ def test_random_corruption_of_masked_content_is_invisible(seed):
 
     pad = batch.text_mask == 0.0
     batch.text_ids[pad] = rng.integers(0, vocab.n_tokens, size=int(pad.sum()))
-    # padded turn slots point at pool row 0; corrupt the pool row they share
-    # only when that row itself is unused... the padded slot of a 1-turn
-    # window references row 0, which is the real turn, so corrupt only pad
-    # text here and masked slot-value ids.
     vpad = batch.slot_val_mask == 0.0
     batch.slot_val_ids[vpad] = rng.integers(0, vocab.n_tokens, size=int(vpad.sum()))
+    # The padded turn slot points at an added pool row of random content.
+    highs = {"dom_ids": vocab.n_domains, "item_ids": vocab.n_items,
+             "slot_key_ids": vocab.n_slot_keys}
+    junk = {}
+    for name in _POOL_ARRAYS:
+        values = getattr(batch, name)
+        high = 2 if "mask" in name else highs.get(name, vocab.n_tokens)
+        row = rng.integers(0, high, size=(1,) + values.shape[1:]).astype(values.dtype)
+        junk[name] = np.concatenate([values, row])
+    batch = replace(batch, **junk)
+    assert batch.turn_mask[0, 0] == 0.0
+    batch.window_rows[0, 0] = batch.pool_size - 1
     p_after, _ = forward_batch(params, TINY_CONFIG, batch)
     assert np.array_equal(p_ref, p_after)
 
@@ -436,9 +449,8 @@ def repeated_setup(tiny_setup):
 
 def _row_contents(batch):
     """Per pool row, every per-turn array the encoder reads, as bytes."""
-    arrays = [batch.text_ids, batch.text_mask, batch.dom_ids, batch.item_ids,
-              batch.slot_key_ids, batch.slot_key_mask, batch.slot_val_ids, batch.slot_val_mask]
-    return [b"|".join(a[r].tobytes() for a in arrays) for r in range(batch.pool_size)]
+    return [b"|".join(getattr(batch, name)[r].tobytes() for name in _POOL_ARRAYS)
+            for r in range(batch.pool_size)]
 
 
 @pytest.mark.parametrize("microbatch", [1, 7, 1024, None])
@@ -456,7 +468,8 @@ def test_predict_scores_equals_per_window_forward(repeated_setup, microbatch):
 def test_predict_scores_encodes_each_content_once(repeated_setup, monkeypatch, microbatch):
     batch, params = repeated_setup
     distinct = set(_row_contents(batch))
-    assert len(distinct) < batch.pool_size  # the corpus does repeat content
+    # One window per turn; the corpus repeats content, and the pool does not.
+    assert batch.pool_size == len(distinct) < len(batch)
     encoded = []
     real_encode = net._encode_pool
 
@@ -471,17 +484,61 @@ def test_predict_scores_encodes_each_content_once(repeated_setup, monkeypatch, m
     assert set(encoded) == distinct
 
 
-@pytest.mark.parametrize("field", ["text_ids", "text_mask", "dom_ids", "item_ids", "slot_key_ids",
-                                   "slot_key_mask", "slot_val_ids", "slot_val_mask"])
-def test_content_groups_separate_rows_that_differ_in_any_array(repeated_setup, field):
-    batch, _ = repeated_setup
-    first, inverse = batch.content_groups()
-    assert np.array_equal(inverse[first], np.arange(len(first)))
-    row = int(np.flatnonzero(np.bincount(inverse)[inverse] > 1)[0])  # a repeated content
-    changed = replace(batch, **{field: getattr(batch, field).copy()})
-    values = getattr(changed, field)
-    values.reshape(len(values), -1)[row, 0] += 0.5 if "mask" in field else 1
-    assert len(changed.content_groups()[0]) == len(first) + 1
+_POOL_VOCAB = Vocabulary(
+    tokens="play the a song show me love playing more".split(),
+    domains=["music-play", "music-stop"],
+    slot_keys=["song", "artist"],
+    items=["show me love", "love me do"],
+)
+
+
+def _pool_of(*turns):
+    """The pool of one-turn sessions, one per turn; the default turn's text
+    fills ``max_text_len`` exactly."""
+    sessions = [Session(str(i), (turn,)) for i, turn in enumerate(turns)]
+    config = replace(TINY_CONFIG, max_text_len=10)
+    return WindowDataset.from_sessions(sessions, _POOL_VOCAB, config, "none").batch
+
+
+@pytest.mark.parametrize("field, edits", [pytest.param(field, edits, id=field) for field, edits in [
+    ("text_ids", [dict(query="play a song show me love"),  # a query token
+                  dict(voice_response="playing show me more")]),  # a response token
+    ("text_mask", [dict(voice_response="playing show me")]),
+    ("dom_ids", [dict(domain_intent="music-stop")]),
+    ("item_ids", [dict(result_item="love me do")]),
+    ("slot_key_ids", [dict(slots=(("artist", ("show", "me", "love")),))]),
+    ("slot_key_mask", [dict(slots=(("song", ("show", "me", "love")), ("artist", ("me",))))]),
+    ("slot_val_ids", [dict(slots=(("song", ("show", "me", "more")),))]),
+    ("slot_val_mask", [dict(slots=(("song", ("show", "me")),))]),
+]])
+def test_content_groups_separate_rows_that_differ_in_any_array(field, edits):
+    """A turn that differs from another in an id the encoder reads gets a
+    pool row of its own, and the two rows differ in ``field``."""
+    for edit in edits:
+        batch = _pool_of(make_turn(), make_turn(**edit))
+        assert batch.pool_size == 2
+        assert list(batch.window_rows[:, -1]) == [0, 1]
+        values = getattr(batch, field)
+        assert not np.array_equal(values[0], values[1])
+
+
+@pytest.mark.parametrize("turn_a, turn_b", [
+    pytest.param({}, dict(timestamp=5.0), id="timestamp"),
+    pytest.param({}, dict(asr_confidence=0.2, nlu_confidence=0.3), id="confidences"),
+    pytest.param({}, dict(voice_response="playing show me love more"), id="past-max-text-len"),
+    pytest.param(dict(query="play the song xyzzy"), dict(query="play the song plugh"),
+                 id="two-oovs"),
+    pytest.param(dict(slots=(("song", tuple("play the a song show me".split())),)),
+                 dict(slots=(("song", tuple("play the a song show love".split())),)),
+                 id="past-max-slot-value-tokens"),
+    pytest.param(dict(slots=(("song", ("me",)), ("song", ("me",)), ("song", ("a",)))),
+                 dict(slots=(("song", ("me",)), ("song", ("me",)), ("artist", ("b",)))),
+                 id="past-max-slots"),
+])
+def test_turns_that_differ_only_where_the_encoder_does_not_read_share_a_row(turn_a, turn_b):
+    batch = _pool_of(make_turn(**turn_a), make_turn(**turn_b))
+    assert batch.pool_size == 1
+    assert list(batch.window_rows[:, -1]) == [0, 0]
 
 
 def test_predict_scores_rejects_microbatch_below_one(repeated_setup):
@@ -569,3 +626,39 @@ def test_truncated_or_corrupt_checkpoint_raises_checkpoint_error(tmp_path, tiny_
     cut_path.write_bytes(data[:20] + b"x" + data[21:])  # header no longer JSON
     with pytest.raises(CheckpointError, match="corrupt checkpoint header"):
         load_checkpoint(cut_path)
+
+
+def _drop_tensor_key(key):
+    def edit(header):
+        del header["tensors"][0][key]
+    return edit
+
+
+@pytest.mark.parametrize("edit, expect", [
+    pytest.param(lambda h: h["config"].update(depth=3),
+                 "bad 'config': .*unexpected keyword argument 'depth'", id="unknown-config-key"),
+    pytest.param(lambda h: h["config"].update(embed_dim=-8),
+                 "bad 'config': embed_dim must be a positive", id="bad-config-value"),
+    pytest.param(lambda h: h.pop("config"), "no 'config'", id="no-config"),
+    pytest.param(lambda h: h.pop("vocab"), "no 'vocab'", id="no-vocab"),
+    pytest.param(lambda h: h["vocab"].pop("tokens"), "'vocab' lacks 'tokens'", id="no-vocab-tokens"),
+    pytest.param(lambda h: h.pop("tensors"), "no 'tensors'", id="no-tensors"),
+    pytest.param(_drop_tensor_key("offset"), "'tensors' lacks 'offset'", id="no-tensor-offset"),
+    pytest.param(_drop_tensor_key("shape"), "'tensors' lacks 'shape'", id="no-tensor-shape"),
+    pytest.param(None, "not a JSON object", id="header-is-a-list"),
+])
+def test_malformed_checkpoint_header_raises_checkpoint_error(tmp_path, tiny_setup, edit, expect):
+    _, vocab, params = tiny_setup
+    path = tmp_path / "edited.ckpt"
+    save_checkpoint(path, TINY_CONFIG, vocab, params)
+    data = path.read_bytes()
+    header_end = 20 + int.from_bytes(data[12:20], "little")
+    header = json.loads(data[20:header_end])
+    if edit is None:
+        header = [header]
+    else:
+        edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:12] + len(raw).to_bytes(8, "little") + raw + data[header_end:])
+    with pytest.raises(CheckpointError, match=expect):
+        load_checkpoint(path)

@@ -4,14 +4,17 @@ gradients.
 
 Per turn, a text stack attends over the query and voice-response tokens (an
 aggregate slot ahead of the text collects the summary) and a structured stack
-attends over {domain-intent, slots, result item, text summary}. Turn
-embeddings, offset-tagged by distance from the current turn, feed an
-attention of the current turn over its predecessors; each turn's embedding
-concatenated with that attention output passes through a shared
-fully-connected layer, an elementwise max over real turns, and a sigmoid
-unit. One scaled dot-product attention primitive (``_attend``, with its
-gradient ``_attend_backward``) serves the blocks of both stacks, the
-cross-turn attention and the public ``attend_turns``.
+attends over {domain-intent, slots, result item, text summary}. Only the
+summary leaves the text stack, so its last block computes keys and values
+for every position but everything past them for the aggregate slot alone;
+the other blocks keep their per-position work. Turn embeddings,
+offset-tagged by distance from the current turn, feed an attention of the
+current turn over its predecessors; each turn's embedding concatenated with
+that attention output passes through a shared fully-connected layer, an
+elementwise max over real turns, and a sigmoid unit. One scaled dot-product
+attention primitive (``_attend``, with its gradient ``_attend_backward``)
+serves the blocks of both stacks, the cross-turn attention and the public
+``attend_turns``.
 
 Turns are encoded once per pool row and gathered into windows. The pool
 (``data.py``) holds each distinct turn content once, so training, batch
@@ -195,45 +198,50 @@ def zeros_grads(params: dict) -> dict:
 # --- transformer block ----------------------------------------------------
 
 
-def _block_forward(params, prefix, x, key_mask, num_heads):
+def _block_forward(params, prefix, x, key_mask, num_heads, summary_only=False):
     """Post-norm block: x -> LN(x + MHA(x)) -> LN(. + FFN(.)).
 
     ``key_mask`` of shape (N, L) removes padded positions from every
-    attention softmax; None means all positions are real.
+    attention softmax; None means all positions are real. With
+    ``summary_only`` the block computes keys and values for every position
+    but queries, attention output, LN and FFN for slot 0 alone, and returns
+    (N, 1, D): the output a full block would give at slot 0.
     """
-    N, L, D = x.shape
+    N, _, D = x.shape
     H = num_heads
     hd = D // H
-
-    Wqkv = np.concatenate([params[prefix + "W" + n] for n in "qkv"], axis=1)
-    bqkv = np.concatenate([params[prefix + "b" + n] for n in "qkv"])
-    qkv = x @ Wqkv + bqkv  # (N, L, 3D)
+    xq = x[:, :1] if summary_only else x
 
     def heads(m):
-        return m.reshape(N, L, H, hd).transpose(0, 2, 1, 3)
+        return m.reshape(N, -1, H, hd).transpose(0, 2, 1, 3)
 
-    q = heads(qkv[..., :D])
-    k = heads(qkv[..., D : 2 * D])
-    v = heads(qkv[..., 2 * D :])
+    Wkv = np.concatenate([params[prefix + "Wk"], params[prefix + "Wv"]], axis=1)
+    kv = x @ Wkv + np.concatenate([params[prefix + "bk"], params[prefix + "bv"]])
+    q = heads(xq @ params[prefix + "Wq"] + params[prefix + "bq"])
+    k = heads(kv[..., :D])
+    v = heads(kv[..., D:])
     mask = None if key_mask is None else key_mask[:, None, :]
     out, A = _attend(q, k, v, mask, hd)
-    ctx = out.transpose(0, 2, 1, 3).reshape(N, L, D)
+    ctx = out.transpose(0, 2, 1, 3).reshape(xq.shape)
     attn = ctx @ params[prefix + "Wo"] + params[prefix + "bo"]
 
-    x1, ln1 = _ln_forward(x + attn, params[prefix + "ln1_g"], params[prefix + "ln1_b"])
+    x1, ln1 = _ln_forward(xq + attn, params[prefix + "ln1_g"], params[prefix + "ln1_b"])
     gu = _act(x1 @ params[prefix + "ffn1_W"] + params[prefix + "ffn1_b"])
     f = gu @ params[prefix + "ffn2_W"] + params[prefix + "ffn2_b"]
     x2, ln2 = _ln_forward(x1 + f, params[prefix + "ln2_g"], params[prefix + "ln2_b"])
 
-    cache = {"x": x, "q": q, "k": k, "v": v, "A": A, "ctx": ctx, "Wqkv": Wqkv,
+    cache = {"x": x, "q": q, "k": k, "v": v, "A": A, "ctx": ctx, "Wkv": Wkv,
              "ln1": ln1, "x1": x1, "gu": gu, "ln2": ln2}
     return x2, cache
 
 
 def _block_backward(params, grads, prefix, dy, cache, num_heads):
+    """Gradient of ``_block_forward``: ``dy`` has the output's shape, (N, 1, D)
+    for a summary-only block, and the returned d_x has x's, (N, L, D)."""
     x, q, k, v, A, ctx = (cache[n] for n in ("x", "q", "k", "v", "A", "ctx"))
     x1, gu = cache["x1"], cache["gu"]
-    N, L, D = x.shape
+    N, _, D = x.shape
+    Lq = dy.shape[1]  # the query positions: all L, or slot 0 alone
     H = num_heads
     hd = D // H
 
@@ -256,20 +264,25 @@ def _block_backward(params, grads, prefix, dy, cache, num_heads):
     d_attn = dres1
     grads[prefix + "Wo"] += ctx.reshape(-1, D).T @ d_attn.reshape(-1, D)
     grads[prefix + "bo"] += d_attn.sum(axis=(0, 1))
-    d_ctx = (d_attn @ params[prefix + "Wo"].T).reshape(N, L, H, hd).transpose(0, 2, 1, 3)
+    d_ctx = (d_attn @ params[prefix + "Wo"].T).reshape(N, Lq, H, hd).transpose(0, 2, 1, 3)
 
     d_q, d_k, d_v = _attend_backward(d_ctx, q, k, v, A, hd)
 
     def unheads(m):
-        return m.transpose(0, 2, 1, 3).reshape(N, L, D)
+        return m.transpose(0, 2, 1, 3).reshape(N, -1, D)
 
-    d_qkv = np.concatenate([unheads(d_q), unheads(d_k), unheads(d_v)], axis=-1)
-    gW = x.reshape(-1, D).T @ d_qkv.reshape(-1, 3 * D)
-    gb = d_qkv.sum(axis=(0, 1))
-    for i, n in enumerate("qkv"):
+    d_q = unheads(d_q)
+    d_kv = np.concatenate([unheads(d_k), unheads(d_v)], axis=-1)
+    grads[prefix + "Wq"] += x[:, :Lq].reshape(-1, D).T @ d_q.reshape(-1, D)
+    grads[prefix + "bq"] += d_q.sum(axis=(0, 1))
+    gW = x.reshape(-1, D).T @ d_kv.reshape(-1, 2 * D)
+    gb = d_kv.sum(axis=(0, 1))
+    for i, n in enumerate("kv"):
         grads[prefix + "W" + n] += gW[:, i * D : (i + 1) * D]
         grads[prefix + "b" + n] += gb[i * D : (i + 1) * D]
-    return dres1 + d_qkv @ cache["Wqkv"].T
+    d_x = d_kv @ cache["Wkv"].T
+    d_x[:, :Lq] += dres1 + d_q @ params[prefix + "Wq"].T
+    return d_x
 
 
 # --- per-turn encoding over the pool ---------------------------------------
@@ -277,14 +290,16 @@ def _block_backward(params, grads, prefix, dy, cache, num_heads):
 
 def _encode_pool(params, config: PredictorConfig, batch: Batch, want_cache: bool):
     """Turn embeddings E (pool rows), running both per-turn stacks once per
-    pool row."""
+    pool row. The last text block is summary-only: past its keys and values
+    it computes the aggregate slot alone, the one position read from it."""
     tok = params["tok_emb"]
 
     x = tok[batch.text_ids] + params["pos_emb"][None, :, :]
     tmask = batch.text_mask
     text_caches = []
     for b in range(config.text_blocks):
-        x, c = _block_forward(params, f"text{b}.", x, tmask, config.num_heads)
+        last = b == config.text_blocks - 1
+        x, c = _block_forward(params, f"text{b}.", x, tmask, config.num_heads, summary_only=last)
         if want_cache:
             text_caches.append(c)
     summary = x[:, 0, :]
@@ -317,7 +332,7 @@ def _encode_pool(params, config: PredictorConfig, batch: Batch, want_cache: bool
 
 
 def _encode_pool_backward(params, grads, config, batch: Batch, cache, d_E):
-    M, L = batch.text_ids.shape
+    M = batch.pool_size
     D = config.embed_dim
     d_y = np.broadcast_to(d_E[:, None, :] / 4.0, (M, 4, D)).copy()
     for b in range(config.struct_blocks - 1, -1, -1):
@@ -337,8 +352,7 @@ def _encode_pool_backward(params, grads, config, batch: Batch, cache, d_E):
     )
     np.add.at(grads["tok_emb"], batch.slot_val_ids.ravel(), d_val_emb.reshape(-1, D))
 
-    d_x = np.zeros((M, L, D))
-    d_x[:, 0, :] = d_summary
+    d_x = d_summary[:, None, :]
     for b in range(config.text_blocks - 1, -1, -1):
         d_x = _block_backward(
             params, grads, f"text{b}.", d_x, cache["text_caches"][b], config.num_heads
@@ -473,6 +487,8 @@ def loss_and_grad_batch(params, config, batch: Batch, microbatch: int = 256):
     depend on the chunk size up to float rounding (the chunking decides the
     order in which gradients are summed).
     """
+    if microbatch < 1:
+        raise ValueError(f"microbatch must be at least 1, got {microbatch!r}")
     n = len(batch)
     total = zeros_grads(params)
     loss_sum = 0.0

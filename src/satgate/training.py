@@ -64,6 +64,8 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 1")
         if not (0.0 <= self.label_noise_rate <= 1.0):
             raise ValueError("label_noise_rate must lie in [0, 1]")
+        if self.microbatch < 1:
+            raise ValueError(f"microbatch must be at least 1, got {self.microbatch!r}")
 
     @classmethod
     def from_preset(cls, name: str, **overrides) -> "TrainConfig":

@@ -238,6 +238,55 @@ def test_single_token_block_matches_straight_line_recomputation():
     np.testing.assert_allclose(encode_turn(params, config, vocab, turn), expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("num_heads", [1, 2])
+def test_summary_only_block_equals_slot_zero_of_full_block(num_heads):
+    """The last text block computes queries, LN and FFN for slot 0 alone; its
+    output and its gradients equal the full block's at slot 0, on rows whose
+    padded key positions hold random content."""
+    config = replace(TINY_CONFIG, num_heads=num_heads)
+    vocab = Vocabulary(tokens=["a"], domains=["d"], slot_keys=["k"], items=["m"])
+    rng = np.random.default_rng(num_heads)
+    params = {k: v + 0.1 * rng.normal(size=v.shape)
+              for k, v in init_params(config, vocab, seed=4).items()}
+    N, L, D = 5, 7, config.embed_dim
+    x = rng.normal(size=(N, L, D))
+    key_mask = (np.arange(L)[None, :] < np.array([1, 3, 5, 7, 2])[:, None]).astype(float)
+    dy = np.zeros((N, L, D))
+    dy[:, 0] = rng.normal(size=(N, D))
+
+    def run(summary_only):
+        out, cache = net._block_forward(params, "text0.", x, key_mask, num_heads,
+                                        summary_only=summary_only)
+        grads = net.zeros_grads(params)
+        d_x = net._block_backward(params, grads, "text0.", dy[:, : out.shape[1]], cache,
+                                  num_heads)
+        return out, d_x, {k: g for k, g in grads.items() if k.startswith("text0.")}
+
+    full, d_x_full, g_full = run(False)
+    part, d_x_part, g_part = run(True)
+    assert part.shape == (N, 1, D)
+    np.testing.assert_allclose(part[:, 0], full[:, 0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(d_x_part, d_x_full, rtol=0, atol=1e-12)
+    assert len(g_part) == 16
+    for name in g_part:
+        np.testing.assert_allclose(g_part[name], g_full[name], rtol=0, atol=1e-12,
+                                   err_msg=name)
+
+    # d_x against central differences of the summary-only output, so that a
+    # fault the two query layouts share cannot hide.
+    h = 1e-6
+    fd = np.zeros_like(x)
+    for i in np.ndindex(x.shape):
+        old = x[i]
+        x[i] = old + h
+        up = net._block_forward(params, "text0.", x, key_mask, num_heads, summary_only=True)[0]
+        x[i] = old - h
+        down = net._block_forward(params, "text0.", x, key_mask, num_heads, summary_only=True)[0]
+        x[i] = old
+        fd[i] = np.sum(dy[:, :1] * (up - down)) / (2 * h)
+    np.testing.assert_allclose(d_x_part, fd, rtol=0, atol=1e-7)
+
+
 def test_cross_turn_attention_and_head_match_straight_line_recomputation(tiny_setup):
     """Three-turn context: recompute the cross-turn attention and the head by
     hand, over the per-turn embeddings, for windows of one, two and three
@@ -406,29 +455,49 @@ def test_backward_null_turn_gradient_zero_when_window_full(tiny_setup):
     assert np.all(grads["null_turn"] == 0.0)
 
 
-def test_backward_matches_finite_differences_quick(tiny_setup):
-    """Spot check; the acceptance suite runs the exhaustive version."""
-    sessions, vocab, _ = tiny_setup
-    rng = np.random.default_rng(0)
-    params = init_params(TINY_CONFIG, vocab, seed=11)
-    window = list(sessions[1].turns[:2])
-    label = 0.4
-    grads = backward(params, TINY_CONFIG, vocab, window, label)
+def _assert_backward_matches_finite_differences(params, config, vocab, window, label,
+                                                names, rng):
+    """Central differences of the loss at 40 random entries of ``names``."""
+    grads = backward(params, config, vocab, window, label)
     h = 1e-5
-    names = sorted(params)
     for _ in range(40):
         name = names[int(rng.integers(len(names)))]
         flat = params[name].reshape(-1)
         i = int(rng.integers(flat.size))
         old = flat[i]
         flat[i] = old + h
-        up = loss(forward(params, TINY_CONFIG, vocab, window), label)
+        up = loss(forward(params, config, vocab, window), label)
         flat[i] = old - h
-        down = loss(forward(params, TINY_CONFIG, vocab, window), label)
+        down = loss(forward(params, config, vocab, window), label)
         flat[i] = old
         fd = (up - down) / (2 * h)
         an = grads[name].reshape(-1)[i]
         assert abs(fd - an) / max(abs(fd), abs(an), 1e-6) <= 1e-4
+
+
+def test_backward_matches_finite_differences_quick(tiny_setup):
+    """Spot check; the acceptance suite runs the exhaustive version."""
+    sessions, vocab, _ = tiny_setup
+    params = init_params(TINY_CONFIG, vocab, seed=11)
+    _assert_backward_matches_finite_differences(
+        params, TINY_CONFIG, vocab, list(sessions[1].turns[:2]), 0.4, sorted(params),
+        np.random.default_rng(0),
+    )
+
+
+def test_backward_matches_finite_differences_two_text_blocks(tiny_setup):
+    """Spot check of the full text block that feeds the summary-only last
+    block, on a window whose text rows have padded positions."""
+    _, vocab, _ = tiny_setup
+    config = replace(TINY_CONFIG, text_blocks=2)
+    params = init_params(config, vocab, seed=12)
+    window = [make_turn(query="play music", voice_response="ok"),
+              make_turn(query="play the song show me love", voice_response="playing")]
+    assert (encode_window(window, vocab, config).text_mask == 0.0).any()
+    names = sorted(n for n in params if n.startswith("text") or n in ("tok_emb", "pos_emb"))
+    _assert_backward_matches_finite_differences(
+        params, config, vocab, window, 0.3, names, np.random.default_rng(1)
+    )
 
 
 # --- batch scoring ------------------------------------------------------------
@@ -545,6 +614,13 @@ def test_predict_scores_rejects_microbatch_below_one(repeated_setup):
     batch, params = repeated_setup
     with pytest.raises(ValueError, match="microbatch must be at least 1, got 0"):
         predict_scores(params, TINY_CONFIG, batch, microbatch=0)
+
+
+@pytest.mark.parametrize("microbatch", [0, -3])
+def test_loss_and_grad_batch_rejects_microbatch_below_one(repeated_setup, microbatch):
+    batch, params = repeated_setup
+    with pytest.raises(ValueError, match=f"microbatch must be at least 1, got {microbatch}"):
+        net.loss_and_grad_batch(params, TINY_CONFIG, batch, microbatch=microbatch)
 
 
 # --- vocabulary and checkpoints ---------------------------------------------------

@@ -171,3 +171,6 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(label_noise_rate=1.5)
+    for microbatch in (0, -3):
+        with pytest.raises(ValueError, match=f"microbatch must be at least 1, got {microbatch}"):
+            TrainConfig(microbatch=microbatch)

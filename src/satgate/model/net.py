@@ -7,14 +7,18 @@ aggregate slot ahead of the text collects the summary) and a structured stack
 attends over {domain-intent, slots, result item, text summary}. Only the
 summary leaves the text stack, so its last block computes keys and values
 for every position but everything past them for the aggregate slot alone;
-the other blocks keep their per-position work. Turn embeddings,
-offset-tagged by distance from the current turn, feed an attention of the
-current turn over its predecessors; each turn's embedding concatenated with
-that attention output passes through a shared fully-connected layer, an
-elementwise max over real turns, and a sigmoid unit. One scaled dot-product
-attention primitive (``_attend``, with its gradient ``_attend_backward``)
-serves the blocks of both stacks, the cross-turn attention and the public
-``attend_turns``.
+the other blocks keep their per-position work. The text stack runs per
+length bucket: pool rows are grouped by real text length into at most four
+buckets, cut at the pool's length quartiles, and each bucket is trimmed to
+its longest row, so trailing padding is never computed (a masked key gets a
+softmax weight of exactly 0, and no output reads a padded query). Turn
+embeddings, offset-tagged by distance from the current turn, feed an
+attention of the current turn over its predecessors; each turn's embedding
+concatenated with that attention output passes through a shared
+fully-connected layer, an elementwise max over real turns, and a sigmoid
+unit. One scaled dot-product attention primitive (``_attend``, with its
+gradient ``_attend_backward``) serves the blocks of both stacks, the
+cross-turn attention and the public ``attend_turns``.
 
 Turns are encoded once per pool row and gathered into windows. The pool
 (``data.py``) holds each distinct turn content once, so training, batch
@@ -50,6 +54,7 @@ __all__ = [
 _MASK_OFF = 1e30  # additive logit penalty; exp underflows to exactly 0
 _LOGIT_CLIP = 36.0  # keeps sigmoid strictly inside (0, 1) in float64
 _LN_EPS = 1e-6
+_MAX_BUCKETS = 4  # length buckets the text stack runs per pool
 
 
 # --- primitives -----------------------------------------------------------
@@ -288,21 +293,59 @@ def _block_backward(params, grads, prefix, dy, cache, num_heads):
 # --- per-turn encoding over the pool ---------------------------------------
 
 
+def _length_buckets(text_mask):
+    """Pool rows grouped by text length into at most ``_MAX_BUCKETS`` groups,
+    cut at the pool's length quartiles, as (rows, width) pairs in ascending
+    width. Each cut is the row length at or above its quartile, so each
+    width is the longest row of its group, and a pool of a few rows (one
+    gate decision) gets few groups: every group re-reads the block weights.
+
+    A row's length is one past its last real position (the aggregate slot
+    and the text form a prefix), so trimming a row to any width at or above
+    it drops only masked keys, whose softmax weight is exactly 0; a row
+    with no real position keeps the full width.
+    """
+    L = text_mask.shape[1]
+    lengths = L - np.argmax(text_mask[:, ::-1] > 0, axis=1)
+    n = len(lengths)
+    if n == 0:
+        return []
+    order = np.argsort(lengths, kind="stable")
+    sorted_lengths = lengths[order]
+    # The k-th cut is the sorted length at index ceil(k (n - 1) / _MAX_BUCKETS),
+    # the one np.quantile(..., method="higher") picks, in integer arithmetic:
+    # this runs once per pool, and a gate decision's pool is a few rows.
+    cuts = sorted({int(sorted_lengths[-(-k * (n - 1) // _MAX_BUCKETS)])
+                   for k in range(1, _MAX_BUCKETS + 1)})
+    ends = np.searchsorted(sorted_lengths, cuts, side="right").tolist()
+    return [(order[s:e], w) for s, e, w in zip([0] + ends[:-1], ends, cuts)]
+
+
 def _encode_pool(params, config: PredictorConfig, batch: Batch, want_cache: bool):
     """Turn embeddings E (pool rows), running both per-turn stacks once per
-    pool row. The last text block is summary-only: past its keys and values
-    it computes the aggregate slot alone, the one position read from it."""
+    pool row.
+
+    The text stack runs per length bucket (``_length_buckets``): each
+    bucket's rows are trimmed to its longest row, so padding past it is
+    never computed. The last text block is summary-only: past its keys and
+    values it computes the aggregate slot alone, the one position read from
+    it.
+    """
     tok = params["tok_emb"]
 
-    x = tok[batch.text_ids] + params["pos_emb"][None, :, :]
-    tmask = batch.text_mask
-    text_caches = []
-    for b in range(config.text_blocks):
-        last = b == config.text_blocks - 1
-        x, c = _block_forward(params, f"text{b}.", x, tmask, config.num_heads, summary_only=last)
-        if want_cache:
-            text_caches.append(c)
-    summary = x[:, 0, :]
+    summary = np.empty((batch.pool_size, config.embed_dim))
+    buckets = _length_buckets(batch.text_mask)
+    text_caches = []  # bucket-major: text_blocks caches per bucket
+    for rows, width in buckets:
+        x = tok[batch.text_ids[rows, :width]] + params["pos_emb"][None, :width, :]
+        tmask = batch.text_mask[rows, :width]
+        for b in range(config.text_blocks):
+            last = b == config.text_blocks - 1
+            x, c = _block_forward(params, f"text{b}.", x, tmask, config.num_heads,
+                                  summary_only=last)
+            if want_cache:
+                text_caches.append(c)
+        summary[rows] = x[:, 0, :]
 
     key_mask = batch.slot_key_mask
     val_mask = batch.slot_val_mask
@@ -323,6 +366,7 @@ def _encode_pool(params, config: PredictorConfig, batch: Batch, want_cache: bool
             struct_caches.append(c)
     E = y.mean(axis=1)
     cache = {
+        "buckets": buckets,
         "text_caches": text_caches,
         "struct_caches": struct_caches,
         "val_cnt": val_cnt,
@@ -332,6 +376,10 @@ def _encode_pool(params, config: PredictorConfig, batch: Batch, want_cache: bool
 
 
 def _encode_pool_backward(params, grads, config, batch: Batch, cache, d_E):
+    """Gradient of ``_encode_pool``. The text stack runs backward per length
+    bucket, from that bucket's summary gradients, and scatters into
+    ``tok_emb`` over the trimmed ids and into the first ``width`` rows of
+    ``pos_emb``."""
     M = batch.pool_size
     D = config.embed_dim
     d_y = np.broadcast_to(d_E[:, None, :] / 4.0, (M, 4, D)).copy()
@@ -352,13 +400,14 @@ def _encode_pool_backward(params, grads, config, batch: Batch, cache, d_E):
     )
     np.add.at(grads["tok_emb"], batch.slot_val_ids.ravel(), d_val_emb.reshape(-1, D))
 
-    d_x = d_summary[:, None, :]
-    for b in range(config.text_blocks - 1, -1, -1):
-        d_x = _block_backward(
-            params, grads, f"text{b}.", d_x, cache["text_caches"][b], config.num_heads
-        )
-    np.add.at(grads["tok_emb"], batch.text_ids.ravel(), d_x.reshape(-1, D))
-    grads["pos_emb"] += d_x.sum(axis=0)
+    nb = config.text_blocks
+    for i, (rows, width) in enumerate(cache["buckets"]):
+        caches = cache["text_caches"][i * nb : (i + 1) * nb]
+        d_x = d_summary[rows, None, :]
+        for b in range(nb - 1, -1, -1):
+            d_x = _block_backward(params, grads, f"text{b}.", d_x, caches[b], config.num_heads)
+        np.add.at(grads["tok_emb"], batch.text_ids[rows, :width].ravel(), d_x.reshape(-1, D))
+        grads["pos_emb"][:width] += d_x.sum(axis=0)
 
 
 # --- full model -----------------------------------------------------------

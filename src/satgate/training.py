@@ -66,6 +66,12 @@ class TrainConfig:
             raise ValueError("label_noise_rate must lie in [0, 1]")
         if self.microbatch < 1:
             raise ValueError(f"microbatch must be at least 1, got {self.microbatch!r}")
+        for name in ("beta1", "beta2"):
+            # written so that NaN fails too
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
+        if not (self.adam_eps >= 0.0):
+            raise ValueError(f"adam_eps must be non-negative, got {self.adam_eps!r}")
 
     @classmethod
     def from_preset(cls, name: str, **overrides) -> "TrainConfig":

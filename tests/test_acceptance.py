@@ -228,6 +228,7 @@ def pipeline() -> PipelineResult:
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_end_to_end_pipeline(pipeline):
     """20k-session corpus: weak labeler >= 0.80 held-out accuracy; the
     transformer trained on weak labels reaches held-out oracle AUC >= 0.85
@@ -244,6 +245,7 @@ def test_criterion_5_end_to_end_pipeline(pipeline):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_gate_simulation_ordering(pipeline):
     """Average CUS ordering no-predictor <= feature-baseline <= transformer at
     threshold 0.7 under the default behavior model, for 3 behavior seeds."""
@@ -278,6 +280,7 @@ def test_criterion_7_gate_simulation_ordering(pipeline):
 # --- criterion 6: large batch vs small batch -------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_6_large_batch_vs_small_batch():
     """With 20% injected label noise, the desk LB preset's final held-out AUC
     is >= the SB preset's, and LB converges (within 1% of its final AUC) in

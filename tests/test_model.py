@@ -458,12 +458,26 @@ def test_backward_null_turn_gradient_zero_when_window_full(tiny_setup):
 def _assert_backward_matches_finite_differences(params, config, vocab, window, label,
                                                 names, rng):
     """Central differences of the loss at 40 random entries of ``names``."""
-    grads = backward(params, config, vocab, window, label)
-    h = 1e-5
+    _assert_gradient_entries_match_finite_differences(params, config, vocab, window, label,
+                                                      _random_entries(params, names, rng))
+
+
+def _random_entries(params, names, rng):
+    """40 random (name, flat index) entries of the tensors ``names``."""
+    entries = []
     for _ in range(40):
         name = names[int(rng.integers(len(names)))]
+        entries.append((name, int(rng.integers(params[name].size))))
+    return entries
+
+
+def _assert_gradient_entries_match_finite_differences(params, config, vocab, window, label,
+                                                      entries):
+    """Central differences of the loss at the (name, flat index) ``entries``."""
+    grads = backward(params, config, vocab, window, label)
+    h = 1e-5
+    for name, i in entries:
         flat = params[name].reshape(-1)
-        i = int(rng.integers(flat.size))
         old = flat[i]
         flat[i] = old + h
         up = loss(forward(params, config, vocab, window), label)
@@ -498,6 +512,26 @@ def test_backward_matches_finite_differences_two_text_blocks(tiny_setup):
     _assert_backward_matches_finite_differences(
         params, config, vocab, window, 0.3, names, np.random.default_rng(1)
     )
+
+
+def test_backward_matches_finite_differences_across_length_buckets():
+    """Spot check at ``text_blocks=2`` on a window whose four turns fall in
+    three length buckets, with every ``pos_emb`` entry past the shortest
+    bucket's width: those rows get their gradient from the longer buckets
+    alone."""
+    config = replace(TINY_CONFIG, text_blocks=2, num_turns=4)
+    window = [make_turn(query=q, voice_response="ok", timestamp=float(i)) for i, q in
+              enumerate(["play", "play the", "play the song", "play the song show me love"])]
+    vocab = Vocabulary.build([Session("s", tuple(window))], config.vocab_size)
+    params = init_params(config, vocab, seed=13)
+    buckets = net._length_buckets(encode_window(window, vocab, config).text_mask)
+    assert [width for _, width in buckets] == [4, 5, 7]
+    D = config.embed_dim
+    entries = [("pos_emb", r * D + c) for r in range(4, 7) for c in range(D)]
+    names = sorted(n for n in params if n.startswith("text") or n == "tok_emb")
+    entries += _random_entries(params, names, np.random.default_rng(2))
+    _assert_gradient_entries_match_finite_differences(params, config, vocab, window, 0.3,
+                                                      entries)
 
 
 # --- batch scoring ------------------------------------------------------------
@@ -621,6 +655,132 @@ def test_loss_and_grad_batch_rejects_microbatch_below_one(repeated_setup, microb
     batch, params = repeated_setup
     with pytest.raises(ValueError, match=f"microbatch must be at least 1, got {microbatch}"):
         net.loss_and_grad_batch(params, TINY_CONFIG, batch, microbatch=microbatch)
+
+
+# --- length buckets of the text stack ----------------------------------------------
+
+
+def _one_full_width_bucket(text_mask):
+    """The bucketing that computes every position: the reference arithmetic."""
+    return [(np.arange(text_mask.shape[0]), text_mask.shape[1])]
+
+
+def _text_lengths_pool(lengths):
+    """A tiny-preset dataset of two-turn sessions whose pool rows have the
+    given lengths (aggregate slot included; L = 7), with random labels."""
+    words = "play the a song show me love playing more".split()
+    turns = [make_turn(query=" ".join(words[i % 3 : i % 3 + n - 2]), voice_response=words[i],
+                       timestamp=float(i % 2))
+             for i, n in enumerate(lengths)]
+    sessions = [Session(str(i), tuple(turns[i : i + 2])) for i in range(0, len(turns), 2)]
+    vocab = Vocabulary.build(sessions, TINY_CONFIG.vocab_size)
+    ds = WindowDataset.from_sessions(sessions, vocab, TINY_CONFIG, "none")
+    labels = np.random.default_rng(len(lengths)).uniform(size=len(ds))
+    return replace(ds.batch, labels=labels), vocab, sessions
+
+
+def _assert_bucketed_equals_full_width(params, config, vocab, batch, sessions, monkeypatch):
+    """predict_scores, forward and loss_and_grad_batch (loss, p and every
+    gradient tensor) match the one-full-width-bucket reference within 1e-12."""
+    def run():
+        windows = [s.turns[max(0, i + 1 - config.num_turns) : i + 1]
+                   for s in sessions for i in range(len(s.turns))]
+        return (predict_scores(params, config, batch),
+                np.array([forward(params, config, vocab, list(w)) for w in windows]),
+                net.loss_and_grad_batch(params, config, batch, microbatch=64))
+
+    got = run()
+    with monkeypatch.context() as m:
+        m.setattr(net, "_length_buckets", _one_full_width_bucket)
+        want = run()
+    for name, a, b in (("predict_scores", got[0], want[0]), ("forward", got[1], want[1]),
+                       ("loss", got[2][0], want[2][0]), ("p", got[2][2], want[2][2])):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+    assert sorted(got[2][1]) == sorted(params)
+    for name in params:
+        np.testing.assert_allclose(got[2][1][name], want[2][1][name], rtol=0, atol=1e-12,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("preset", ["tiny", "desk"])
+def test_length_buckets_match_one_full_width_bucket(preset, monkeypatch):
+    config = {"tiny": TINY_CONFIG, "desk": DESK_CONFIG}[preset]
+    sessions = generate(CorpusConfig(seed=17, num_sessions=40))
+    # Generated text mostly fills the tiny preset's 6 positions; shortened
+    # copies of half the sessions spread the lengths at both presets.
+    sessions = sessions[:20] + [
+        Session(s.session_id + "-short", tuple(
+            replace(t, query=t.query[: 1 + k % 3], voice_response=t.voice_response[:1])
+            for k, t in enumerate(s.turns)))
+        for s in sessions[20:]
+    ]
+    vocab = Vocabulary.build(sessions, config.vocab_size)
+    params = init_params(config, vocab, seed=6)
+    ds = WindowDataset.from_sessions(sessions, vocab, config, "none")
+    batch = replace(ds.batch, labels=np.random.default_rng(0).uniform(size=len(ds)))
+    assert len(net._length_buckets(batch.text_mask)) >= 3
+    _assert_bucketed_equals_full_width(params, config, vocab, batch, sessions, monkeypatch)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=40))
+def test_length_buckets_cut_at_rounded_up_quartiles(lengths):
+    """Each row lands in the first group whose width, the row length at or
+    above a quartile of the pool's lengths, holds it."""
+    mask = (np.arange(7) < np.array(lengths)[:, None]).astype(float)
+    cuts = np.unique(np.quantile(lengths, [0.25, 0.5, 0.75, 1.0], method="higher")).tolist()
+    buckets = net._length_buckets(mask)
+    assert [width for _, width in buckets] == cuts
+    for (rows, width), below in zip(buckets, [0] + cuts[:-1]):
+        assert all(below < lengths[r] <= width for r in rows)
+    assert sorted(np.concatenate([rows for rows, _ in buckets])) == list(range(len(lengths)))
+
+
+@pytest.mark.parametrize("lengths, widths", [
+    pytest.param([3, 4, 5, 6, 7, 3, 5, 4], [4, 5, 6, 7], id="every-bucket"),
+    pytest.param([7] * 6, [7], id="all-full-length"),
+    pytest.param([4], [4], id="one-row"),
+])
+def test_length_bucket_edge_pools(lengths, widths, monkeypatch):
+    batch, vocab, sessions = _text_lengths_pool(lengths)
+    lengths_got = batch.text_mask.sum(axis=1)
+    assert sorted(lengths_got) == sorted(lengths)
+    buckets = net._length_buckets(batch.text_mask)
+    assert [width for _, width in buckets] == widths
+    rows = np.concatenate([r for r, _ in buckets])
+    assert sorted(rows) == list(range(batch.pool_size))  # each row in one bucket
+    for r, width in buckets:
+        assert lengths_got[r].max() == width
+    params = init_params(TINY_CONFIG, vocab, seed=8)
+    _assert_bucketed_equals_full_width(params, TINY_CONFIG, vocab, batch, sessions, monkeypatch)
+
+
+@pytest.mark.parametrize("lengths, positions", [
+    # widths 4, 5, 6 and 7 over 4, 2, 1 and 1 rows
+    pytest.param([3, 4, 5, 6, 7, 3, 5, 4], 4 * 4 + 2 * 5 + 6 + 7, id="mixed"),
+    pytest.param([7] * 6, 6 * 7, id="all-full-length"),
+])
+def test_text_blocks_skip_padding(lengths, positions, monkeypatch):
+    """The positions the first text block computes total less than M x L on
+    a mixed-length pool and exactly M x L when every row is full length."""
+    batch, vocab, _ = _text_lengths_pool(lengths)
+    params = init_params(TINY_CONFIG, vocab, seed=8)
+    seen = []
+    real_block = net._block_forward
+
+    def counting_block(params, prefix, x, *args, **kwargs):
+        if prefix == "text0.":
+            seen.append(x.shape[0] * x.shape[1])
+        return real_block(params, prefix, x, *args, **kwargs)
+
+    monkeypatch.setattr(net, "_block_forward", counting_block)
+    predict_scores(params, TINY_CONFIG, batch)
+    assert sum(seen) == positions
+    M, L = batch.text_mask.shape
+    if min(lengths) < L:
+        assert positions < M * L
+    else:
+        assert positions == M * L
 
 
 # --- vocabulary and checkpoints ---------------------------------------------------

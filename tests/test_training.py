@@ -174,3 +174,11 @@ def test_train_config_validation():
     for microbatch in (0, -3):
         with pytest.raises(ValueError, match=f"microbatch must be at least 1, got {microbatch}"):
             TrainConfig(microbatch=microbatch)
+    for name, value in (("beta1", 1.0), ("beta1", -0.1), ("beta1", float("nan")),
+                        ("beta2", 1.0), ("beta2", 1.5), ("beta2", float("nan"))):
+        with pytest.raises(ValueError, match=rf"{name} must lie in \[0, 1\), got {value}"):
+            TrainConfig(**{name: value})
+    for eps in (-1e-8, float("nan")):
+        with pytest.raises(ValueError, match=f"adam_eps must be non-negative, got {eps}"):
+            TrainConfig(adam_eps=eps)
+    TrainConfig(beta1=0.0, beta2=0.0, adam_eps=0.0)  # the closed ends are allowed

@@ -303,10 +303,7 @@ def _cmd_simulate(args) -> int:
             scores = None
         elif kind == "weak":
             model, extractor = weaklabel.load_weak_model(entry["model"])
-            scores = [
-                weaklabel.weak_label_many(model, extractor.rows(session))
-                for session in sessions
-            ]
+            scores = weaklabel.weak_label_sessions(model, extractor, sessions)
         elif kind == "transformer":
             scores, _, _ = _corpus_scores(entry["ckpt"], sessions)
         else:

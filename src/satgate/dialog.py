@@ -4,11 +4,24 @@ A turn bundles what the user said, how the system parsed it, and what the
 system answered; a session is an ordered list of turns from one conversation,
 optionally carrying oracle satisfaction labels (synthetic / expert data) and
 weak labels produced by the labeling stage.
+
+Validation happens once, where a turn or session is built: token fields must
+be non-empty sequences of non-empty strings (a bare string is rejected, not
+split into characters), and timestamps and confidences must be real numbers
+(not booleans or numeric strings). ``read_sessions`` hands each parsed JSON
+record straight to those constructors, so a file's tokens are converted to
+tuples once and a bad record fails with a :class:`CorpusSchemaError` naming
+its line and field. The cyclic garbage collector is paused while a file is
+parsed and built (parsed records and frozen turns hold no reference cycles),
+and the caller's collector state is restored afterwards.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -45,15 +58,46 @@ def tokenize(text: str) -> tuple[str, ...]:
     return tuple(text.lower().split())
 
 
-def _check_tokens(name: str, value) -> tuple[str, ...]:
-    toks = tuple(value)
-    if not toks or not all(isinstance(t, str) and t for t in toks):
+def _check_tokens(name: str, value, nonempty: bool = True) -> tuple[str, ...]:
+    """``value`` as a tuple of string tokens, else a ValueError naming
+    ``name``. ``nonempty`` also requires at least one token and no empty
+    token."""
+    if isinstance(value, str):
+        raise ValueError(f"{name} must be a sequence of tokens, not the string {value!r}")
+    try:
+        toks = tuple(value)
+        "".join(toks)  # C-level check that every token is a string
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of string tokens, got {value!r}") from None
+    if nonempty and (not toks or "" in toks):
         raise ValueError(f"{name} must be a non-empty sequence of non-empty tokens")
     return toks
 
 
-def _check_unit(name: str, value: float) -> float:
-    v = float(value)
+def _check_slots(slots) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    checked = []
+    for pair in slots:
+        try:
+            key, value = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"slots must hold (key, tokens) pairs, got {pair!r}") from None
+        if not isinstance(key, str):
+            raise ValueError(f"slot key must be a string, got {key!r}")
+        checked.append((key, _check_tokens("slots", value, nonempty=False)))
+    return tuple(checked)
+
+
+def _check_number(name: str, value) -> float:
+    if type(value) is not float:
+        # bool is an int subclass, and float() would also accept "0.5".
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        value = float(value)
+    return value
+
+
+def _check_unit(name: str, value) -> float:
+    v = _check_number(name, value)
     if not (0.0 <= v <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
     return v
@@ -78,24 +122,16 @@ class DialogueTurn:
     nlu_confidence: float
 
     def __post_init__(self):
-        object.__setattr__(self, "query", _check_tokens("query", self.query))
-        object.__setattr__(
-            self, "voice_response", _check_tokens("voice_response", self.voice_response)
-        )
-        object.__setattr__(
-            self,
-            "slots",
-            tuple((str(k), tuple(str(t) for t in v)) for k, v in self.slots),
-        )
-        object.__setattr__(self, "timestamp", float(self.timestamp))
-        if self.timestamp < 0:
-            raise ValueError(f"timestamp must be non-negative, got {self.timestamp!r}")
-        object.__setattr__(
-            self, "asr_confidence", _check_unit("asr_confidence", self.asr_confidence)
-        )
-        object.__setattr__(
-            self, "nlu_confidence", _check_unit("nlu_confidence", self.nlu_confidence)
-        )
+        setattr_ = object.__setattr__
+        setattr_(self, "query", _check_tokens("query", self.query))
+        setattr_(self, "voice_response", _check_tokens("voice_response", self.voice_response))
+        setattr_(self, "slots", _check_slots(self.slots))
+        timestamp = _check_number("timestamp", self.timestamp)
+        if timestamp < 0:
+            raise ValueError(f"timestamp must be non-negative, got {timestamp!r}")
+        setattr_(self, "timestamp", timestamp)
+        setattr_(self, "asr_confidence", _check_unit("asr_confidence", self.asr_confidence))
+        setattr_(self, "nlu_confidence", _check_unit("nlu_confidence", self.nlu_confidence))
 
 
 @dataclass(frozen=True)
@@ -190,17 +226,19 @@ def _session_to_obj(session: Session) -> dict:
     return obj
 
 
-def _turn_from_obj(obj: dict, line_no: int) -> DialogueTurn:
+def _turn_from_obj(obj, line_no: int) -> DialogueTurn:
+    if type(obj) is not dict:
+        raise CorpusSchemaError(line_no, "turn must be a JSON object")
     for key in _TURN_KEYS:
         if key not in obj:
             raise CorpusSchemaError(line_no, f"turn is missing required field {key!r}")
     try:
         return DialogueTurn(
-            query=tuple(obj["query"]),
+            query=obj["query"],
             domain_intent=str(obj["domain_intent"]),
-            slots=tuple((k, tuple(v)) for k, v in obj["slots"]),
+            slots=obj["slots"],
             result_item=str(obj["result_item"]),
-            voice_response=tuple(obj["voice_response"]),
+            voice_response=obj["voice_response"],
             timestamp=obj["timestamp"],
             asr_confidence=obj["asr_confidence"],
             nlu_confidence=obj["nlu_confidence"],
@@ -209,13 +247,15 @@ def _turn_from_obj(obj: dict, line_no: int) -> DialogueTurn:
         raise CorpusSchemaError(line_no, f"invalid turn: {exc}") from exc
 
 
-def _session_from_obj(obj: dict, line_no: int) -> Session:
+def _session_from_obj(obj, line_no: int) -> Session:
     if not isinstance(obj, dict):
         raise CorpusSchemaError(line_no, "session record must be a JSON object")
     for key in ("session_id", "turns"):
         if key not in obj:
             raise CorpusSchemaError(line_no, f"session is missing required field {key!r}")
-    turns = tuple(_turn_from_obj(t, line_no) for t in obj["turns"])
+    if type(obj["turns"]) is not list:
+        raise CorpusSchemaError(line_no, "session field 'turns' must be a JSON array")
+    turns = tuple([_turn_from_obj(t, line_no) for t in obj["turns"]])
     oracle = obj.get("oracle_satisfaction")
     weak = obj.get("weak_labels")
     try:
@@ -229,14 +269,33 @@ def _session_from_obj(obj: dict, line_no: int) -> Session:
         raise CorpusSchemaError(line_no, f"invalid session: {exc}") from exc
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, restoring the caller's state on exit.
+
+    Building a corpus allocates millions of small containers, and every
+    allocation past the threshold triggers a collection that walks them all
+    again; the records and frozen turns hold no reference cycles, so pausing
+    collects nothing that would otherwise be collected.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def read_sessions(path) -> list[Session]:
     """Read a JSONL session file, preserving file order.
 
     Raises :class:`CorpusParseError` for malformed JSON (naming the line) and
-    :class:`CorpusSchemaError` for structurally invalid records.
+    :class:`CorpusSchemaError` for structurally invalid records (naming the
+    line and the field).
     """
     sessions = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _gc_paused():
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

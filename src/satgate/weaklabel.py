@@ -5,6 +5,12 @@ turns n and n+1 (21 features: upstream confidences, reaction time, prompt
 words, domain/intent popularity, and token-overlap similarities). A small
 expert-labeled set fits a logistic regression whose posterior becomes the
 weak label for the whole corpus.
+
+``features_matrix`` is the one feature path: a single pass over the corpus
+computes each turn's own quantities once (per distinct query, response and
+domain-intent) and forms the columns about turns n+1 and n-1 by shifting to
+the adjacent row. Fitting, corpus labeling, the CSV export and the
+prediction-time feature baseline all read its rows.
 """
 
 from __future__ import annotations
@@ -20,13 +26,13 @@ __all__ = [
     "NUM_FEATURES",
     "CAUSAL_FEATURE_INDICES",
     "FEATURE_NAMES",
-    "FeatureVector",
     "FeatureExtractor",
     "WeakLabelModel",
     "DegenerateDataError",
     "train_weak_labeler",
     "weak_label",
     "label_corpus",
+    "weak_label_sessions",
     "features_matrix",
     "save_weak_model",
     "load_weak_model",
@@ -62,9 +68,6 @@ FEATURE_NAMES = (
 # feature baseline (the ex-post weak labeler additionally sees turn n+1).
 CAUSAL_FEATURE_INDICES = (0, 2, 4, 6, 8, 10, 13, 17, 18, 19)
 
-_PROMPT_INDICES = (2, 3, 4, 5, 19, 20)
-_SIMILARITY_INDICES = (14, 15, 16, 17, 18)
-
 DEFAULT_AFFIRMATION_WORDS = frozenset(
     "yes yeah yep ok okay sure thanks thank great perfect good nice".split()
 )
@@ -82,33 +85,12 @@ class DegenerateDataError(ValueError):
     """Training labels contain a single class; no decision boundary exists."""
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """The 21 weak-label features for one turn, in the order of FEATURE_NAMES."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", v)
-        if v.shape != (NUM_FEATURES,):
-            raise ValueError(f"feature vector must have length {NUM_FEATURES}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("feature values must be finite")
-        for i in _SIMILARITY_INDICES:
-            if not (0.0 <= v[i] <= 1.0):
-                raise ValueError(f"similarity feature {FEATURE_NAMES[i]} out of [0, 1]")
-        for i in _PROMPT_INDICES:
-            if v[i] not in (0.0, 1.0):
-                raise ValueError(f"prompt feature {FEATURE_NAMES[i]} must be 0 or 1")
-
-
-def _jaccard(a: tuple[str, ...], b: tuple[str, ...]) -> float:
-    sa, sb = set(a), set(b)
-    union = sa | sb
-    if not union:
-        return 0.0
-    return len(sa & sb) / len(union)
+def _set_jaccard(sa: frozenset, sb: frozenset) -> float:
+    """|a & b| / |a | b| (0 when both are empty), with the union's size
+    counted as |a| + |b| - |a & b|: the same integers, so the same float."""
+    inter = len(sa & sb)
+    union = len(sa) + len(sb) - inter
+    return inter / union if union else 0.0
 
 
 def _domain_of(domain_intent: str) -> str:
@@ -117,10 +99,6 @@ def _domain_of(domain_intent: str) -> str:
 
 def _intent_tokens(domain_intent: str) -> tuple[str, ...]:
     return tuple(domain_intent.replace("-", " ").split())
-
-
-def _has_prompt(tokens: tuple[str, ...], lexicon: frozenset[str]) -> float:
-    return 1.0 if any(t in lexicon for t in tokens) else 0.0
 
 
 def _minmax_scale(counts: dict[str, int]) -> dict[str, float]:
@@ -159,56 +137,9 @@ class FeatureExtractor:
             **lexicons,
         )
 
-    def extract(self, session: Session, n: int) -> FeatureVector:
-        return FeatureVector(self._row(session, n))
-
     def rows(self, session: Session) -> np.ndarray:
         """Feature rows for every turn of one session, shape (len(turns), 21)."""
-        if not session.turns:
-            return np.zeros((0, NUM_FEATURES))
-        return np.stack([self._row(session, t) for t in range(len(session.turns))])
-
-    def _row(self, session: Session, n: int) -> np.ndarray:
-        turns = session.turns
-        if not (0 <= n < len(turns)):
-            raise IndexError(f"turn index {n} out of range for {len(turns)} turns")
-        cur = turns[n]
-        nxt = turns[n + 1] if n + 1 < len(turns) else None
-        prv = turns[n - 1] if n > 0 else None
-
-        v = np.empty(NUM_FEATURES, dtype=np.float64)
-        v[0] = cur.asr_confidence
-        v[1] = (nxt.timestamp - cur.timestamp) if nxt is not None else ABSENT_NEXT_TIME_DIFF
-        v[2] = _has_prompt(cur.query, self.affirmation_words)
-        v[3] = _has_prompt(nxt.query, self.affirmation_words) if nxt is not None else 0.0
-        v[4] = _has_prompt(cur.query, self.negation_words)
-        v[5] = _has_prompt(nxt.query, self.negation_words) if nxt is not None else 0.0
-        v[6] = self.domain_popularity.get(_domain_of(cur.domain_intent), 0.0)
-        v[7] = (
-            self.domain_popularity.get(_domain_of(nxt.domain_intent), 0.0)
-            if nxt is not None
-            else 0.0
-        )
-        v[8] = self.intent_popularity.get(cur.domain_intent, 0.0)
-        v[9] = (
-            self.intent_popularity.get(nxt.domain_intent, 0.0) if nxt is not None else 0.0
-        )
-        v[10] = float(len(cur.query))
-        v[11] = nxt.asr_confidence if nxt is not None else 1.0
-        v[12] = nxt.nlu_confidence if nxt is not None else 1.0
-        v[13] = cur.nlu_confidence
-        v[14] = (
-            _jaccard(_intent_tokens(cur.domain_intent), _intent_tokens(nxt.domain_intent))
-            if nxt is not None
-            else 0.0
-        )
-        v[15] = _jaccard(cur.query, nxt.query) if nxt is not None else 0.0
-        v[16] = _jaccard(cur.voice_response, nxt.voice_response) if nxt is not None else 0.0
-        v[17] = _jaccard(cur.voice_response, prv.voice_response) if prv is not None else 0.0
-        v[18] = _jaccard(cur.query, cur.voice_response)
-        v[19] = _has_prompt(cur.query, self.termination_words)
-        v[20] = _has_prompt(nxt.query, self.termination_words) if nxt is not None else 0.0
-        return v
+        return features_matrix([session], self)[0]
 
     def to_dict(self) -> dict:
         return {
@@ -236,16 +167,126 @@ def features_matrix(
     """Stack features for every turn of every session.
 
     Returns (features of shape (N, 21), index array of (session_idx, turn_idx)).
+
+    One pass over the corpus computes each turn's own quantities once: its
+    query and response token sets, prompt flags, popularity lookups, intent
+    tokens and query/response similarity, each looked up per distinct query,
+    response and domain-intent (the caches live for this call only). The
+    columns about turn n+1 (or n-1) are then the next (previous) row's own
+    quantities, and the turn-pair similarities are computed once per pair:
+    feature 17 of turn n is feature 16 of turn n-1.
     """
-    rows = []
-    index = []
-    for si, session in enumerate(sessions):
-        for ti in range(len(session.turns)):
-            rows.append(extractor._row(session, ti))
-            index.append((si, ti))
-    if not rows:
+    lengths = np.fromiter((len(s.turns) for s in sessions), dtype=np.int64, count=len(sessions))
+    n = int(lengths.sum())
+    if n == 0:
         return np.zeros((0, NUM_FEATURES)), np.zeros((0, 2), dtype=np.int64)
-    return np.stack(rows), np.asarray(index, dtype=np.int64)
+    session_idx = np.repeat(np.arange(len(sessions), dtype=np.int64), lengths)
+    starts = np.cumsum(lengths) - lengths
+    index = np.stack([session_idx, np.arange(n, dtype=np.int64) - starts[session_idx]], axis=1)
+
+    affirmation = extractor.affirmation_words
+    negation = extractor.negation_words
+    termination = extractor.termination_words
+    domain_popularity = extractor.domain_popularity
+    intent_popularity = extractor.intent_popularity
+    by_query: dict[tuple[str, ...], tuple] = {}
+    by_response: dict[tuple[str, ...], frozenset] = {}
+    by_intent: dict[str, tuple] = {}
+    intent_sim: dict[tuple[str, str], float] = {}
+
+    own = []  # per turn: the quantities that need no other turn
+    query_sets, response_sets, intents = [], [], []
+    for session in sessions:
+        for turn in session.turns:
+            q = by_query.get(turn.query)
+            if q is None:
+                toks = turn.query
+                q = by_query[toks] = (
+                    frozenset(toks),
+                    0.0 if affirmation.isdisjoint(toks) else 1.0,
+                    0.0 if negation.isdisjoint(toks) else 1.0,
+                    0.0 if termination.isdisjoint(toks) else 1.0,
+                    float(len(toks)),
+                )
+            r = by_response.get(turn.voice_response)
+            if r is None:
+                r = by_response[turn.voice_response] = frozenset(turn.voice_response)
+            di = turn.domain_intent
+            d = by_intent.get(di)
+            if d is None:
+                d = by_intent[di] = (
+                    domain_popularity.get(_domain_of(di), 0.0),
+                    intent_popularity.get(di, 0.0),
+                    frozenset(_intent_tokens(di)),
+                )
+            query_sets.append(q[0])
+            response_sets.append(r)
+            intents.append(di)
+            own.append((
+                turn.asr_confidence, turn.nlu_confidence, turn.timestamp,
+                q[1], q[2], q[3], d[0], d[1], q[4], _set_jaccard(q[0], r),
+            ))
+    asr, nlu, ts, aff, neg, term, dom, intent, length, qr = np.array(own, dtype=np.float64).T
+
+    # Rows whose turn has a successor in its session; row i + 1 holds it.
+    has_next = np.ones(n, dtype=bool)
+    has_next[(starts + lengths - 1)[lengths > 0]] = False
+    cur = np.flatnonzero(has_next)
+    nxt = cur + 1
+
+    pair = []
+    for i in cur.tolist():
+        key = (intents[i], intents[i + 1])
+        sim = intent_sim.get(key)
+        if sim is None:
+            sim = intent_sim[key] = _set_jaccard(by_intent[key[0]][2], by_intent[key[1]][2])
+        pair.append((
+            sim,
+            _set_jaccard(query_sets[i], query_sets[i + 1]),
+            _set_jaccard(response_sets[i], response_sets[i + 1]),
+        ))
+    pair = np.array(pair, dtype=np.float64).reshape(-1, 3)
+
+    X = np.zeros((n, NUM_FEATURES))
+    X[:, 0] = asr
+    X[:, 1] = ABSENT_NEXT_TIME_DIFF
+    X[cur, 1] = ts[nxt] - ts[cur]
+    X[:, 2] = aff
+    X[cur, 3] = aff[nxt]
+    X[:, 4] = neg
+    X[cur, 5] = neg[nxt]
+    X[:, 6] = dom
+    X[cur, 7] = dom[nxt]
+    X[:, 8] = intent
+    X[cur, 9] = intent[nxt]
+    X[:, 10] = length
+    X[:, 11] = 1.0
+    X[cur, 11] = asr[nxt]
+    X[:, 12] = 1.0
+    X[cur, 12] = nlu[nxt]
+    X[:, 13] = nlu
+    X[cur, 14:17] = pair
+    X[nxt, 17] = pair[:, 2]
+    X[:, 18] = qr
+    X[:, 19] = term
+    X[cur, 20] = term[nxt]
+    return X, index
+
+
+def weak_label_sessions(
+    model: WeakLabelModel, extractor: FeatureExtractor, sessions: list[Session]
+) -> list[np.ndarray]:
+    """Per session, the weak label of every turn, from one corpus-wide
+    feature pass. The logits of each session come from its own row slice, so
+    they are the same bits as labeling the session alone (one
+    matrix-vector product over the whole corpus can differ in the last bit);
+    the sigmoid is elementwise and runs once."""
+    X, _ = features_matrix(sessions, extractor)
+    ends = np.cumsum([len(session.turns) for session in sessions], dtype=np.int64).tolist()
+    bounds = [(end - len(session.turns), end) for session, end in zip(sessions, ends)]
+    logits = [X[start:end] @ model.weights for start, end in bounds]
+    p = _sigmoid(np.concatenate([np.zeros(0), *logits]) + model.bias)
+    return [p[start:end] for start, end in bounds]
 
 
 # --- logistic regression --------------------------------------------------
@@ -339,10 +380,7 @@ def train_weak_labeler(
     excluded features are zero); the returned weights act on raw, unscaled
     feature vectors.
     """
-    X = np.asarray(
-        [fv.values if isinstance(fv, FeatureVector) else fv for fv in features],
-        dtype=np.float64,
-    )
+    X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != NUM_FEATURES:
         raise ValueError(f"features must form an (N, {NUM_FEATURES}) matrix")
@@ -369,10 +407,10 @@ def train_weak_labeler(
     return WeakLabelModel(weights=weights, bias=bias)
 
 
-def weak_label(model: WeakLabelModel, fv) -> float:
-    """Posterior probability that the user was satisfied with the turn."""
-    values = fv.values if isinstance(fv, FeatureVector) else np.asarray(fv, dtype=np.float64)
-    return float(_sigmoid(model.weights @ values + model.bias))
+def weak_label(model: WeakLabelModel, features) -> float:
+    """Posterior probability that the user was satisfied with the turn whose
+    21 features are given."""
+    return float(_sigmoid(model.weights @ np.asarray(features, dtype=np.float64) + model.bias))
 
 
 def weak_label_many(model: WeakLabelModel, X: np.ndarray) -> np.ndarray:
@@ -383,11 +421,10 @@ def label_corpus(
     model: WeakLabelModel, extractor: FeatureExtractor, sessions: list[Session]
 ) -> list[Session]:
     """Attach a weak label to every turn; oracle labels pass through unchanged."""
-    labeled = []
-    for session in sessions:
-        labels = weak_label_many(model, extractor.rows(session))
-        labeled.append(session.with_weak_labels(labels.tolist()))
-    return labeled
+    return [
+        session.with_weak_labels(labels.tolist())
+        for session, labels in zip(sessions, weak_label_sessions(model, extractor, sessions))
+    ]
 
 
 # --- model file -----------------------------------------------------------

@@ -1,4 +1,6 @@
+import gc
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,6 +107,87 @@ def test_missing_field_is_schema_error(tmp_path):
         read_sessions(path)
 
 
+def _turn_obj(**overrides):
+    obj = {
+        "query": ["play", "music"],
+        "domain_intent": "music-play",
+        "slots": [["song", ["show", "me", "love"]]],
+        "result_item": "show me love",
+        "voice_response": ["playing", "show", "me", "love"],
+        "timestamp": 0.0,
+        "asr_confidence": 0.9,
+        "nlu_confidence": 0.9,
+    }
+    obj.update(overrides)
+    return obj
+
+
+def _write_records(path, *turn_objs):
+    """One good session, then one session per turn object."""
+    lines = [json.dumps({"session_id": "ok", "turns": [_turn_obj()]})]
+    lines += [json.dumps({"session_id": f"s{i}", "turns": [t]}) for i, t in enumerate(turn_objs)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("query", "play music"),
+        ("voice_response", "playing music"),
+        ("slots", [["song", "show me love"]]),
+        ("timestamp", True),
+        ("asr_confidence", "0.5"),
+        ("nlu_confidence", False),
+    ],
+    ids=["string-query", "string-response", "string-slot-value", "bool-timestamp",
+         "string-confidence", "bool-confidence"],
+)
+def test_wrongly_typed_field_is_schema_error_naming_line_and_field(tmp_path, field, value):
+    """A string where a token list belongs is not split into characters, and
+    a boolean or a numeric string is not taken for a number."""
+    path = tmp_path / "typed.jsonl"
+    _write_records(path, _turn_obj(**{field: value}))
+    with pytest.raises(CorpusSchemaError, match=f"line 2: .*{field}") as info:
+        read_sessions(path)
+    assert info.value.line_no == 2
+
+
+@pytest.mark.parametrize("record", [
+    {"session_id": "x", "turns": 7},
+    {"session_id": "x", "turns": "abc"},
+    {"session_id": "x", "turns": [7]},
+])
+def test_wrongly_shaped_turns_are_schema_errors(tmp_path, record):
+    path = tmp_path / "shape.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(CorpusSchemaError, match="line 1"):
+        read_sessions(path)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+@pytest.mark.parametrize("outcome", ["success", "parse-error", "schema-error"])
+def test_read_leaves_gc_state_as_the_caller_had_it(tmp_path, enabled, outcome):
+    path = tmp_path / "corpus.jsonl"
+    write_sessions([Session("a", (make_turn(),)), Session("b", (make_turn(),))], path)
+    good = path.read_text().splitlines()
+    bad = {"parse-error": "{not json", "schema-error": json.dumps(
+        {"session_id": "c", "turns": [_turn_obj(query="play music")]})}.get(outcome)
+    if bad is not None:
+        path.write_text("\n".join([good[0], bad, good[1]]) + "\n")
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        if outcome == "success":
+            assert len(read_sessions(path)) == 2
+        else:
+            error = CorpusParseError if outcome == "parse-error" else CorpusSchemaError
+            with pytest.raises(error, match="line 2"):
+                read_sessions(path)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
 def test_tokenize():
     assert tokenize("Play The SONG") == ("play", "the", "song")
 
@@ -112,6 +195,8 @@ def test_tokenize():
 def test_turn_validation():
     with pytest.raises(ValueError):
         make_turn(query="")
+    with pytest.raises(ValueError, match="query"):
+        replace(make_turn(), query="play music")
     with pytest.raises(ValueError):
         make_turn(asr_confidence=1.5)
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from satgate.gate import (
     Decision,
     GateDecision,
     Variant,
+    _replay_session,
     gate,
     resolve_clarification,
     simulate_ab,
@@ -210,3 +211,48 @@ def test_weak_rated_replay_needs_oracle_labels_for_clarified_turns(corpus):
         simulate_ab(sessions, [never, always], rating_source="weak", paired=True)
     with pytest.raises(ValueError, match=f"session {corpus[0].session_id} has no weak labels"):
         simulate_ab(corpus[:20], [never], rating_source="weak", paired=True)
+
+
+@pytest.fixture(scope="module")
+def noisy_scores(corpus):
+    rng = np.random.default_rng(4)
+    return [rng.uniform(0.01, 0.99, len(s.turns)) for s in corpus]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+    st.floats(0, 1),
+    st.floats(0, 1),
+)
+def test_paired_replay_equals_one_variant_runs_and_per_session_replays(
+    corpus, noisy_scores, thresholds, seed, p_fix, p_annoy
+):
+    """With ``paired=True`` a variant's report does not depend on the other
+    variants: it equals the variant replayed alone, and the mean of its
+    per-session replays over every non-empty session."""
+    behavior = BehaviorModel(p_fix=p_fix, p_annoy=p_annoy)
+    variants = [Variant("none", None)] + [
+        Variant(f"v{i}", noisy_scores, threshold=t) for i, t in enumerate(thresholds)
+    ]
+    together = {r.name: r for r in simulate_ab(corpus, variants, behavior, seed=seed, paired=True)}
+    replayed = [s for s in corpus if s.turns]
+    for variant in variants:
+        alone = simulate_ab(corpus, [variant], behavior, seed=seed, paired=True)
+        assert alone == [together[variant.name]]
+        total_cus, clarified = 0.0, 0
+        for si, session in enumerate(corpus):
+            if not session.turns:
+                continue
+            clarify = [False] * len(session.turns) if variant.scores is None else [
+                bool(p < variant.threshold) for p in variant.scores[si]
+            ]
+            ratings = [float(v) for v in session.oracle_satisfaction]
+            score, n = _replay_session(session, ratings, clarify, behavior, seed)
+            total_cus += score
+            clarified += n
+        report = together[variant.name]
+        assert report.n_sessions == len(replayed)
+        assert report.avg_cus == total_cus / len(replayed)
+        assert report.clarification_rate == clarified / sum(len(s.turns) for s in replayed)

@@ -5,10 +5,11 @@ system answered; a session is an ordered list of turns from one conversation,
 optionally carrying oracle satisfaction labels (synthetic / expert data) and
 weak labels produced by the labeling stage.
 
-Validation happens once, where a turn or session is built: token fields must
-be non-empty sequences of non-empty strings (a bare string is rejected, not
-split into characters), and timestamps and confidences must be real numbers
-(not booleans or numeric strings). ``read_sessions`` hands each parsed JSON
+Validation happens once, where a turn or session is built: the query and
+the response must be non-empty sequences of non-empty string tokens and each
+slot value a sequence of string tokens (a bare string is rejected, not split
+into characters), and timestamps and confidences must be real numbers (not
+booleans or numeric strings). ``read_sessions`` hands each parsed JSON
 record straight to those constructors, so a file's tokens are converted to
 tuples once and a bad record fails with a :class:`CorpusSchemaError` naming
 its line and field. The cyclic garbage collector is paused while a file is
@@ -256,27 +257,39 @@ def _session_from_obj(obj, line_no: int) -> Session:
     if type(obj["turns"]) is not list:
         raise CorpusSchemaError(line_no, "session field 'turns' must be a JSON array")
     turns = tuple([_turn_from_obj(t, line_no) for t in obj["turns"]])
-    oracle = obj.get("oracle_satisfaction")
-    weak = obj.get("weak_labels")
+    oracle = _labels_from_obj(obj, "oracle_satisfaction", {int}, "integers", line_no)
+    weak = _labels_from_obj(obj, "weak_labels", {int, float}, "numbers", line_no)
     try:
         return Session(
             session_id=str(obj["session_id"]),
             turns=turns,
-            oracle_satisfaction=tuple(oracle) if oracle is not None else None,
-            weak_labels=tuple(weak) if weak is not None else None,
+            oracle_satisfaction=oracle,
+            weak_labels=weak,
         )
     except (TypeError, ValueError) as exc:
         raise CorpusSchemaError(line_no, f"invalid session: {exc}") from exc
+
+
+def _labels_from_obj(obj: dict, key: str, types: set, what: str, line_no: int):
+    """An optional per-turn label array as a tuple. Its elements' exact types
+    are checked, so a string is not split into characters and neither a
+    boolean nor a numeric string passes for a label."""
+    values = obj.get(key)
+    if values is None:
+        return None
+    if type(values) is not list or not set(map(type, values)) <= types:
+        raise CorpusSchemaError(line_no, f"session field {key!r} must be a JSON array of {what}")
+    return tuple(values)
 
 
 @contextmanager
 def _gc_paused():
     """Pause the cyclic garbage collector, restoring the caller's state on exit.
 
-    Building a corpus allocates millions of small containers, and every
-    allocation past the threshold triggers a collection that walks them all
-    again; the records and frozen turns hold no reference cycles, so pausing
-    collects nothing that would otherwise be collected.
+    Building a corpus allocates hundreds of thousands of tracked objects, and
+    the collector's periodic full collections walk all of them again as the
+    heap grows; the records and frozen turns hold no reference cycles, so
+    pausing collects nothing that would otherwise be collected.
     """
     was_enabled = gc.isenabled()
     gc.disable()

@@ -164,6 +164,28 @@ def test_wrongly_shaped_turns_are_schema_errors(tmp_path, record):
         read_sessions(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("oracle_satisfaction", "1"),
+        ("oracle_satisfaction", [True]),
+        ("oracle_satisfaction", ["1"]),
+        ("weak_labels", "0"),
+        ("weak_labels", ["0.5"]),
+        ("weak_labels", [False]),
+    ],
+    ids=["string-oracle", "bool-oracle", "string-oracle-value", "string-weak",
+         "string-weak-value", "bool-weak"],
+)
+def test_wrongly_typed_labels_are_schema_errors_naming_line_and_field(tmp_path, field, value):
+    path = tmp_path / "labels.jsonl"
+    good = json.dumps({"session_id": "ok", "turns": [_turn_obj()]})
+    bad = json.dumps({"session_id": "x", "turns": [_turn_obj()], field: value})
+    path.write_text(good + "\n" + bad + "\n")
+    with pytest.raises(CorpusSchemaError, match=f"line 2: .*{field}"):
+        read_sessions(path)
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
 @pytest.mark.parametrize("outcome", ["success", "parse-error", "schema-error"])
 def test_read_leaves_gc_state_as_the_caller_had_it(tmp_path, enabled, outcome):

@@ -9,7 +9,7 @@ Validation happens once, where a turn or session is built: the query and
 the response must be non-empty sequences of non-empty string tokens and each
 slot value a sequence of string tokens (a bare string is rejected, not split
 into characters), and timestamps and confidences must be real numbers (not
-booleans or numeric strings). ``read_sessions`` hands each parsed JSON
+booleans or numeric strings); a file's label arrays must hold numbers. ``read_sessions`` hands each parsed JSON
 record straight to those constructors, so a file's tokens are converted to
 tuples once and a bad record fails with a :class:`CorpusSchemaError` naming
 its line and field. The cyclic garbage collector is paused while a file is

@@ -76,9 +76,18 @@ def _load_config_file(path) -> dict:
     return obj
 
 
-def _take_fields(obj_cls, raw: dict) -> dict:
-    names = {f.name for f in dataclass_fields(obj_cls)}
-    return {k: v for k, v in raw.items() if k in names}
+def _field_names(obj_cls) -> set[str]:
+    return {f.name for f in dataclass_fields(obj_cls)}
+
+
+def _check_keys(raw: dict, accepted, where: str) -> None:
+    """A misspelt or retired setting fails here instead of taking its default."""
+    unknown = sorted(set(raw) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"accepted keys: {', '.join(sorted(accepted))}"
+        )
 
 
 def _fmt(value) -> str:
@@ -94,7 +103,10 @@ def _fmt(value) -> str:
 
 def _cmd_gen_corpus(args) -> int:
     raw = _load_config_file(args.config)
-    config = synth.CorpusConfig.from_dict(_take_fields(synth.CorpusConfig, raw))
+    _check_keys(raw, _field_names(synth.CorpusConfig), "gen-corpus config")
+    for i, entry in enumerate(raw.get("domain_catalog") or ()):
+        _check_keys(entry, _field_names(synth.DomainSpec), f"gen-corpus config domain_catalog[{i}]")
+    config = synth.CorpusConfig.from_dict(raw)
     if args.seed is not None:
         config = synth.CorpusConfig.from_dict({**config.to_dict(), "seed": args.seed})
     sessions = synth.generate(config)
@@ -176,21 +188,24 @@ def _cmd_label(args) -> int:
 
 
 def _resolve_train_configs(raw: dict, seed_override):
+    model_keys = _field_names(PredictorConfig)
+    train_keys = _field_names(training.TrainConfig)
+    other_keys = {"model_preset", "batch_preset", "label_source", "init_seed"}
+    _check_keys(raw, model_keys | train_keys | other_keys, "train config")
     model_preset = raw.get("model_preset", "desk")
     if model_preset not in _MODEL_PRESETS:
         raise ValueError(f"unknown model_preset {model_preset!r}")
     model_dict = _MODEL_PRESETS[model_preset].to_dict()
-    model_dict.update(_take_fields(PredictorConfig, raw))
+    model_dict.update({k: v for k, v in raw.items() if k in model_keys})
     model_config = PredictorConfig.from_dict(model_dict)
 
-    train_dict = {}
-    if "batch_preset" in raw:
-        batch_size, lr = training.BATCH_PRESETS[raw["batch_preset"]]
-        train_dict.update({"batch_size": batch_size, "learning_rate": lr})
-    train_dict.update(_take_fields(training.TrainConfig, raw))
+    train_dict = {k: v for k, v in raw.items() if k in train_keys}
     if seed_override is not None:
         train_dict["seed"] = seed_override
-    tconfig = training.TrainConfig(**train_dict)
+    if "batch_preset" in raw:
+        tconfig = training.TrainConfig.from_preset(raw["batch_preset"], **train_dict)
+    else:
+        tconfig = training.TrainConfig(**train_dict)
     label_source = raw.get("label_source", "weak")
     init_seed = int(raw.get("init_seed", 0))
     return model_config, tconfig, label_source, init_seed
@@ -287,8 +302,15 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+_SIMULATE_KEYS = ("threshold", "p_fix", "p_annoy", "variants", "rating_source",
+                  "partition_weights", "paired")
+# Keys of a variant entry, by kind: every kind takes name, kind and threshold.
+_VARIANT_KEYS = {"none": (), "weak": ("model",), "transformer": ("ckpt",)}
+
+
 def _cmd_simulate(args) -> int:
     spec = _load_config_file(args.variants)
+    _check_keys(spec, _SIMULATE_KEYS, "simulate variants spec")
     sessions = read_sessions(args.corpus)
     default_threshold = float(spec.get("threshold", 0.7))
     behavior = gate_mod.BehaviorModel(
@@ -296,18 +318,20 @@ def _cmd_simulate(args) -> int:
     )
     variants = []
     for entry in spec.get("variants", []):
-        name = entry["name"]
         kind = entry.get("kind", "none")
+        if kind not in _VARIANT_KEYS:
+            raise ValueError(f"unknown variant kind {kind!r}")
+        _check_keys(entry, ("name", "kind", "threshold", *_VARIANT_KEYS[kind]),
+                    f"simulate variant {entry.get('name')!r}")
+        name = entry["name"]
         threshold = float(entry.get("threshold", default_threshold))
         if kind == "none":
             scores = None
         elif kind == "weak":
             model, extractor = weaklabel.load_weak_model(entry["model"])
             scores = weaklabel.weak_label_sessions(model, extractor, sessions)
-        elif kind == "transformer":
-            scores, _, _ = _corpus_scores(entry["ckpt"], sessions)
         else:
-            raise ValueError(f"unknown variant kind {kind!r}")
+            scores, _, _ = _corpus_scores(entry["ckpt"], sessions)
         variants.append(gate_mod.Variant(name=name, scores=scores, threshold=threshold))
     if not variants:
         raise ValueError("variants config names no variants")

@@ -121,9 +121,8 @@ class VariantReport:
     n_sessions: int
 
 
-def _session_bucket(session_id: str) -> float:
-    digest = hashlib.sha256(session_id.encode("utf-8")).hexdigest()
-    return int(digest[:12], 16) / float(1 << 48)
+def _session_key(session_id: str) -> int:
+    return int(hashlib.sha256(session_id.encode("utf-8")).hexdigest()[:12], 16)
 
 
 def _clarify_masks(variant: Variant, sessions: list[Session]) -> list[list[bool]]:
@@ -170,8 +169,7 @@ def _replay_session(
     that clarifies on the turns where ``clarify`` is set."""
     if not any(clarify):  # the seeded draws only decide clarified turns
         return float(np.mean(ratings)), 0
-    sid_key = int(hashlib.sha256(session.session_id.encode("utf-8")).hexdigest()[:12], 16)
-    draws = np.random.default_rng([seed, sid_key]).random(len(session.turns))
+    draws = np.random.default_rng([seed, _session_key(session.session_id)]).random(len(session.turns))
     contributions = list(ratings)
     for t, clarified in enumerate(clarify):
         if clarified:
@@ -214,7 +212,7 @@ def simulate_ab(
             raise ValueError("partition_weights must give a positive weight per variant")
         edges = np.cumsum(weights) / weights.sum()
         assignment = [
-            int(np.searchsorted(edges, _session_bucket(s.session_id), side="right"))
+            int(np.searchsorted(edges, _session_key(s.session_id) / float(1 << 48), side="right"))
             for s in sessions
         ]
         assignment = [min(a, len(variants) - 1) for a in assignment]

@@ -132,8 +132,6 @@ def cus(turn_rating_n: float, turn_rating_next: float) -> CUSRating:
     """Contextual user satisfaction of a clarification turn: the product of the
     rating when the question is asked and the rating of the following turn."""
     a, b = float(turn_rating_n), float(turn_rating_next)
-    if not (0.0 <= a <= 1.0) or not (0.0 <= b <= 1.0):
-        raise ValueError(f"turn ratings must lie in [0, 1], got {a!r}, {b!r}")
     return CUSRating(turn_rating_n=a, turn_rating_next=b, contextual=a * b)
 
 

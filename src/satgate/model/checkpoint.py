@@ -1,9 +1,11 @@
 """Self-describing predictor checkpoints with a deterministic byte layout.
 
-Layout: 8-byte magic, u32 format version, u64 header length, JSON header
+Layout: 8-byte magic, u32 format version (3), u64 header length, JSON header
 (config, vocabulary, tensor manifest with offsets), then the raw little-endian
 float64 tensor bytes in manifest order. Identical contents serialize to
-identical bytes.
+identical bytes. Version 3 dropped ``attention_scale`` from the header's
+config; files of any other version are rejected with a ``CheckpointError``
+that names it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .vocab import Vocabulary
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError"]
 
 _MAGIC = b"SATGCKPT"
-_VERSION = 2
+_VERSION = 3
 _PREFIX = struct.Struct("<IQ")  # format version, header length
 
 

@@ -1,4 +1,6 @@
-"""Hyperparameters of the satisfaction predictor."""
+"""Hyperparameters of the satisfaction predictor. Checkpoints save every field
+of ``PredictorConfig``; the cross-turn attention always divides its logits by
+sqrt(``embed_dim``)."""
 
 from __future__ import annotations
 
@@ -13,9 +15,7 @@ class PredictorConfig:
     """Architecture settings.
 
     ``num_turns`` is the context window T (current turn plus up to T-1
-    previous turns); ``attention_scale`` is the d whose square root divides
-    the cross-turn attention logits and defaults to ``embed_dim``;
-    ``ffn_dim`` defaults to ``4 * embed_dim``.
+    previous turns); ``ffn_dim`` defaults to ``4 * embed_dim``.
     """
 
     vocab_size: int = 400
@@ -26,14 +26,10 @@ class PredictorConfig:
     struct_blocks: int = 4
     num_heads: int = 4
     ffn_dim: Optional[int] = None
-    attention_scale: Optional[float] = None
 
     def __post_init__(self):
         if self.ffn_dim is None:
             object.__setattr__(self, "ffn_dim", 4 * self.embed_dim)
-        if self.attention_scale is None:
-            object.__setattr__(self, "attention_scale", float(self.embed_dim))
-        object.__setattr__(self, "attention_scale", float(self.attention_scale))
         for name in ("vocab_size", "max_text_len", "embed_dim", "num_turns",
                      "text_blocks", "struct_blocks", "num_heads", "ffn_dim"):
             v = getattr(self, name)
@@ -43,8 +39,6 @@ class PredictorConfig:
             raise ValueError("vocab_size must leave room beyond the reserved ids")
         if self.embed_dim % self.num_heads != 0:
             raise ValueError("embed_dim must be divisible by num_heads")
-        if self.attention_scale <= 0:
-            raise ValueError("attention_scale must be positive")
 
     def to_dict(self) -> dict:
         return asdict(self)

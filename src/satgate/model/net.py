@@ -443,7 +443,7 @@ def _score_windows(params, config: PredictorConfig, E, window_rows, turn_mask, w
     pmask[:, T - 1] = 0.0
     no_prev = pmask.sum(axis=1) == 0
     pmask[no_prev, T - 1] = 1.0  # a session's first turn attends to itself
-    O, A = _attend(Q[:, None, :], K, V, pmask, config.attention_scale)
+    O, A = _attend(Q[:, None, :], K, V, pmask, D)
     O = O[:, 0, :]
 
     # The head sees [e_t, O] for every turn t; O's half is the same for all
@@ -491,8 +491,7 @@ def _backward_batch(params, config, batch, cache, d_logit):
     d_O = d_uh_O @ W[D:].T
 
     d_Q, d_K, d_V = _attend_backward(
-        d_O[:, None, :], cache["Q"][:, None, :], cache["K"], cache["V"], cache["A"],
-        config.attention_scale,
+        d_O[:, None, :], cache["Q"][:, None, :], cache["K"], cache["V"], cache["A"], D
     )
     d_Q = d_Q[:, 0, :]
     grads["cross_q_W"] += e[:, T - 1, :].T @ d_Q

@@ -7,6 +7,9 @@ oracle satisfaction label is 0 exactly when a turn was corrupted. Unsatisfied
 users rephrase, negate, or abandon on the following turn and react quickly;
 satisfied users move on to a fresh request, sometimes with thanks, and take
 their time, which is the footprint the downstream weak labeler learns from.
+
+``CorpusConfig`` sets the seed, size, turn range, error rates and domain
+catalog; user behavior, reaction gaps and confidences are module constants.
 """
 
 from __future__ import annotations
@@ -261,6 +264,34 @@ _SLATE = 14
 ) = range(_SLATE)
 
 
+# Next-turn behavior: unsatisfied users rephrase, else negate, else abandon;
+# satisfied ones continue (sometimes opening with thanks), else close the
+# session, else go quiet.
+REPHRASE_PROB = 0.5
+NEGATE_PROB = 0.5
+CONTINUE_PROB = 0.7
+TERMINATE_PROB = 0.2
+AFFIRM_PROB = 0.15
+
+# Inter-turn gap ranges in seconds (uniform), by current-turn satisfaction.
+SAT_GAP = (8.0, 60.0)
+UNSAT_GAP = (2.0, 25.0)
+
+# Confidence distributions, keyed by (error kind, which confidence): beta
+# shaped by (mean, concentration). User errors look clean upstream: the
+# recognizer and parser did their job.
+CONFIDENCE_BETA: dict[tuple[str, str], tuple[float, float]] = {
+    ("clean", "asr"): (0.90, 7.0), ("clean", "nlu"): (0.90, 7.0),
+    ("asr", "asr"): (0.58, 3.5), ("asr", "nlu"): (0.78, 3.5),
+    ("nlu", "asr"): (0.82, 3.5), ("nlu", "nlu"): (0.58, 3.5),
+    ("user", "asr"): (0.90, 7.0), ("user", "nlu"): (0.90, 7.0),
+}
+
+# Share of semantic-parse errors that land in the wrong domain (the rest keep
+# the domain but fill the wrong slot value).
+NLU_WRONG_DOMAIN_SHARE = 0.7
+
+
 @dataclass(frozen=True)
 class CorpusConfig:
     seed: int = 0
@@ -270,40 +301,11 @@ class CorpusConfig:
     asr_error_rate: float = 0.10
     nlu_error_rate: float = 0.08
     user_error_rate: float = 0.05
-    rephrase_prob: float = 0.5
     domain_catalog: tuple[DomainSpec, ...] = DEFAULT_CATALOG
-    # Satisfied-user behavior: fresh intent vs ending the session.
-    continue_prob: float = 0.7
-    negate_prob: float = 0.5
-    affirm_prob: float = 0.15
-    terminate_prob: float = 0.2
-    # Inter-turn gap ranges in seconds (uniform), by current-turn satisfaction.
-    sat_gap: tuple[float, float] = (8.0, 60.0)
-    unsat_gap: tuple[float, float] = (2.0, 25.0)
-    # Confidence distributions: beta shaped by (mean, concentration). User
-    # errors look clean upstream: the recognizer and parser did their job.
-    clean_conf: tuple[float, float] = (0.90, 7.0)
-    asr_error_asr_conf: tuple[float, float] = (0.58, 3.5)
-    asr_error_nlu_conf: tuple[float, float] = (0.78, 3.5)
-    nlu_error_asr_conf: tuple[float, float] = (0.82, 3.5)
-    nlu_error_nlu_conf: tuple[float, float] = (0.58, 3.5)
-    user_error_conf: tuple[float, float] = (0.90, 7.0)
-    # Share of semantic-parse errors that land in the wrong domain (the rest
-    # keep the domain but fill the wrong slot value).
-    nlu_wrong_domain_share: float = 0.7
 
     def validate(self) -> None:
-        rates = {
-            "asr_error_rate": self.asr_error_rate,
-            "nlu_error_rate": self.nlu_error_rate,
-            "user_error_rate": self.user_error_rate,
-            "rephrase_prob": self.rephrase_prob,
-            "continue_prob": self.continue_prob,
-            "negate_prob": self.negate_prob,
-            "affirm_prob": self.affirm_prob,
-            "terminate_prob": self.terminate_prob,
-        }
-        for name, value in rates.items():
+        for name in ("asr_error_rate", "nlu_error_rate", "user_error_rate"):
+            value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
         total = self.asr_error_rate + self.nlu_error_rate + self.user_error_rate
@@ -337,11 +339,6 @@ class CorpusConfig:
                 )
                 for c in catalog
             )
-        for key in ("sat_gap", "unsat_gap", "clean_conf", "asr_error_asr_conf",
-                    "asr_error_nlu_conf", "nlu_error_asr_conf", "nlu_error_nlu_conf",
-                    "user_error_conf"):
-            if key in d:
-                d[key] = tuple(d[key])
         return cls(**d)
 
 
@@ -405,7 +402,7 @@ def _generate_session(config: CorpusConfig, index: int):
             if kind == "negate":
                 prefix = NEGATION_PREFIXES[_pick(u[_U_EXTRA], len(NEGATION_PREFIXES))]
                 query_text = f"{prefix} {query_text}"
-            elif kind == "fresh" and prev_satisfied and u[_U_AFFIRM] < config.affirm_prob:
+            elif kind == "fresh" and prev_satisfied and u[_U_AFFIRM] < AFFIRM_PROB:
                 prefix = AFFIRMATION_PREFIXES[_pick(u[_U_EXTRA], len(AFFIRMATION_PREFIXES))]
                 query_text = f"{prefix} {query_text}"
             wanted_domain = (di, ii)
@@ -437,8 +434,8 @@ def _generate_session(config: CorpusConfig, index: int):
                 result_item="session-end",
                 voice_response=tokenize("goodbye"),
                 timestamp=now,
-                asr_confidence=_conf(u[_U_ASR_CONF], error, "asr", config),
-                nlu_confidence=_conf(u[_U_NLU_CONF], error, "nlu", config),
+                asr_confidence=_beta_value(u[_U_ASR_CONF], CONFIDENCE_BETA[error, "asr"]),
+                nlu_confidence=_beta_value(u[_U_NLU_CONF], CONFIDENCE_BETA[error, "nlu"]),
             )
             turns.append(turn)
             oracle.append(1 if error == "clean" else 0)
@@ -460,7 +457,7 @@ def _generate_session(config: CorpusConfig, index: int):
             wrong_ii = _pick_other(u[_U_WRONG], len(domain.items), wanted_domain[1])
             parsed, slot_value, result_item = domain, garbled, domain.items[wrong_ii]
         elif error == "nlu":
-            if u[_U_EXTRA] < config.nlu_wrong_domain_share and len(catalog) > 1:
+            if u[_U_EXTRA] < NLU_WRONG_DOMAIN_SHARE and len(catalog) > 1:
                 # Wrong domain parse: the response comes from another domain.
                 wrong_di = _pick_other(u[_U_WRONG], len(catalog), wanted_domain[0])
                 parsed = catalog[wrong_di]
@@ -488,8 +485,8 @@ def _generate_session(config: CorpusConfig, index: int):
             result_item=result_item,
             voice_response=tokenize(response_template.format(item=result_item)),
             timestamp=now,
-            asr_confidence=_conf(u[_U_ASR_CONF], error, "asr", config),
-            nlu_confidence=_conf(u[_U_NLU_CONF], error, "nlu", config),
+            asr_confidence=_beta_value(u[_U_ASR_CONF], CONFIDENCE_BETA[error, "asr"]),
+            nlu_confidence=_beta_value(u[_U_NLU_CONF], CONFIDENCE_BETA[error, "nlu"]),
         )
         satisfied = error == "clean"
         turns.append(turn)
@@ -499,22 +496,22 @@ def _generate_session(config: CorpusConfig, index: int):
         if k + 1 >= n_target:
             break
 
-        gap_lo, gap_hi = config.sat_gap if satisfied else config.unsat_gap
+        gap_lo, gap_hi = SAT_GAP if satisfied else UNSAT_GAP
         now += gap_lo + u[_U_GAP] * (gap_hi - gap_lo)
         prev_satisfied = satisfied
 
         if satisfied:
-            if k + 1 < config.turns_min or u[_U_BEHAVIOR] < config.continue_prob:
+            if k + 1 < config.turns_min or u[_U_BEHAVIOR] < CONTINUE_PROB:
                 plan = ("fresh", None)
-            elif u[_U_TERM] < config.terminate_prob:
+            elif u[_U_TERM] < TERMINATE_PROB:
                 plan = ("terminate", None)
             else:
                 break
         else:
             ub = u[_U_BEHAVIOR]
-            if ub < config.rephrase_prob:
+            if ub < REPHRASE_PROB:
                 plan = ("rephrase", wanted_domain)
-            elif ub < config.rephrase_prob + (1.0 - config.rephrase_prob) * config.negate_prob:
+            elif ub < REPHRASE_PROB + (1.0 - REPHRASE_PROB) * NEGATE_PROB:
                 plan = ("negate", wanted_domain)
             elif k + 1 < config.turns_min:
                 plan = ("fresh", None)
@@ -527,18 +524,6 @@ def _generate_session(config: CorpusConfig, index: int):
         oracle_satisfaction=tuple(oracle),
     )
     return session, trace
-
-
-def _conf(u: float, error: str, which: str, config: CorpusConfig) -> float:
-    if error == "clean":
-        params = config.clean_conf
-    elif error == "asr":
-        params = config.asr_error_asr_conf if which == "asr" else config.asr_error_nlu_conf
-    elif error == "nlu":
-        params = config.nlu_error_asr_conf if which == "asr" else config.nlu_error_nlu_conf
-    else:
-        params = config.user_error_conf
-    return _beta_value(u, params)
 
 
 def _garble(item_tokens: tuple[str, ...], u: float) -> tuple[str, ...]:

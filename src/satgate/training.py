@@ -39,19 +39,20 @@ BATCH_PRESETS: dict[str, tuple[int, float]] = {
     "desk-sb": (64, 6.4e-5),
 }
 
+# Adam's moment decay rates and denominator floor.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 4096
     learning_rate: float = 0.0041
     epochs: int = 5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     eval_every: int = 1
     label_noise_rate: float = 0.0
-    microbatch: int = 256
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -64,19 +65,14 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 1")
         if not (0.0 <= self.label_noise_rate <= 1.0):
             raise ValueError("label_noise_rate must lie in [0, 1]")
-        if self.microbatch < 1:
-            raise ValueError(f"microbatch must be at least 1, got {self.microbatch!r}")
-        for name in ("beta1", "beta2"):
-            # written so that NaN fails too
-            if not (0.0 <= getattr(self, name) < 1.0):
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
-        if not (self.adam_eps >= 0.0):
-            raise ValueError(f"adam_eps must be non-negative, got {self.adam_eps!r}")
 
     @classmethod
     def from_preset(cls, name: str, **overrides) -> "TrainConfig":
+        """The preset's batch size and learning rate, unless ``overrides`` set them."""
+        if name not in BATCH_PRESETS:
+            raise ValueError(f"unknown batch_preset {name!r}; known presets: {', '.join(BATCH_PRESETS)}")
         batch_size, lr = BATCH_PRESETS[name]
-        return cls(batch_size=batch_size, learning_rate=lr, **overrides)
+        return cls(**{"batch_size": batch_size, "learning_rate": lr, **overrides})
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -118,14 +114,14 @@ def _binary_labels(labels: np.ndarray) -> np.ndarray:
 
 def adam_update(params: dict, grads: dict, m: dict, v: dict, t: int, tconfig: TrainConfig) -> None:
     """One bias-corrected Adam step, in place. ``t`` counts from 1."""
-    bc1 = 1.0 - tconfig.beta1**t
-    bc2 = 1.0 - tconfig.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for key in params:
         g = grads[key]
-        m[key] = tconfig.beta1 * m[key] + (1.0 - tconfig.beta1) * g
-        v[key] = tconfig.beta2 * v[key] + (1.0 - tconfig.beta2) * (g * g)
+        m[key] = ADAM_BETA1 * m[key] + (1.0 - ADAM_BETA1) * g
+        v[key] = ADAM_BETA2 * v[key] + (1.0 - ADAM_BETA2) * (g * g)
         params[key] -= tconfig.learning_rate * (m[key] / bc1) / (
-            np.sqrt(v[key] / bc2) + tconfig.adam_eps
+            np.sqrt(v[key] / bc2) + ADAM_EPS
         )
 
 
@@ -180,9 +176,7 @@ def train(
         order = _session_shuffled_order(train_ds.session_index, rng)
         for bi, start in enumerate(range(0, n, tconfig.batch_size)):
             idx = order[start : start + tconfig.batch_size]
-            batch_loss, grads, _ = loss_and_grad_batch(
-                params, config, batch.subset(idx), microbatch=tconfig.microbatch
-            )
+            batch_loss, grads, _ = loss_and_grad_batch(params, config, batch.subset(idx))
             if not math.isfinite(batch_loss):
                 raise RuntimeError(
                     f"non-finite training loss at epoch {epoch}, batch {bi}"

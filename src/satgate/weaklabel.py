@@ -6,6 +6,10 @@ words, domain/intent popularity, and token-overlap similarities). A small
 expert-labeled set fits a logistic regression whose posterior becomes the
 weak label for the whole corpus.
 
+The prompt-word features test a turn's query against three fixed lexicons,
+``AFFIRMATION_WORDS``, ``NEGATION_WORDS`` and ``TERMINATION_WORDS``; a
+``FeatureExtractor`` holds only the popularity tables fitted on a corpus.
+
 ``features_matrix`` is the one feature path: a single pass over the corpus
 computes each turn's own quantities once (per distinct query, response and
 domain-intent) and forms the columns about turns n+1 and n-1 by shifting to
@@ -68,11 +72,11 @@ FEATURE_NAMES = (
 # feature baseline (the ex-post weak labeler additionally sees turn n+1).
 CAUSAL_FEATURE_INDICES = (0, 2, 4, 6, 8, 10, 13, 17, 18, 19)
 
-DEFAULT_AFFIRMATION_WORDS = frozenset(
+AFFIRMATION_WORDS = frozenset(
     "yes yeah yep ok okay sure thanks thank great perfect good nice".split()
 )
-DEFAULT_NEGATION_WORDS = frozenset("no not nope wrong incorrect nah".split())
-DEFAULT_TERMINATION_WORDS = frozenset(
+NEGATION_WORDS = frozenset("no not nope wrong incorrect nah".split())
+TERMINATION_WORDS = frozenset(
     "stop exit quit goodbye bye cancel nevermind".split()
 )
 
@@ -113,16 +117,13 @@ def _minmax_scale(counts: dict[str, int]) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class FeatureExtractor:
-    """Feature computation state: prompt lexicons and frozen popularity tables."""
+    """Feature computation state: frozen popularity tables."""
 
     domain_popularity: dict[str, float]
     intent_popularity: dict[str, float]
-    affirmation_words: frozenset[str] = DEFAULT_AFFIRMATION_WORDS
-    negation_words: frozenset[str] = DEFAULT_NEGATION_WORDS
-    termination_words: frozenset[str] = DEFAULT_TERMINATION_WORDS
 
     @classmethod
-    def fit(cls, sessions: list[Session], **lexicons) -> "FeatureExtractor":
+    def fit(cls, sessions: list[Session]) -> "FeatureExtractor":
         """Freeze min-max-scaled domain/intent frequencies from a corpus."""
         domain_counts: dict[str, int] = {}
         intent_counts: dict[str, int] = {}
@@ -134,7 +135,6 @@ class FeatureExtractor:
         return cls(
             domain_popularity=_minmax_scale(domain_counts),
             intent_popularity=_minmax_scale(intent_counts),
-            **lexicons,
         )
 
     def rows(self, session: Session) -> np.ndarray:
@@ -145,9 +145,6 @@ class FeatureExtractor:
         return {
             "domain_popularity": dict(sorted(self.domain_popularity.items())),
             "intent_popularity": dict(sorted(self.intent_popularity.items())),
-            "affirmation_words": sorted(self.affirmation_words),
-            "negation_words": sorted(self.negation_words),
-            "termination_words": sorted(self.termination_words),
         }
 
     @classmethod
@@ -155,9 +152,6 @@ class FeatureExtractor:
         return cls(
             domain_popularity=dict(d["domain_popularity"]),
             intent_popularity=dict(d["intent_popularity"]),
-            affirmation_words=frozenset(d["affirmation_words"]),
-            negation_words=frozenset(d["negation_words"]),
-            termination_words=frozenset(d["termination_words"]),
         )
 
 
@@ -184,9 +178,6 @@ def features_matrix(
     starts = np.cumsum(lengths) - lengths
     index = np.stack([session_idx, np.arange(n, dtype=np.int64) - starts[session_idx]], axis=1)
 
-    affirmation = extractor.affirmation_words
-    negation = extractor.negation_words
-    termination = extractor.termination_words
     domain_popularity = extractor.domain_popularity
     intent_popularity = extractor.intent_popularity
     by_query: dict[tuple[str, ...], tuple] = {}
@@ -203,9 +194,9 @@ def features_matrix(
                 toks = turn.query
                 q = by_query[toks] = (
                     frozenset(toks),
-                    0.0 if affirmation.isdisjoint(toks) else 1.0,
-                    0.0 if negation.isdisjoint(toks) else 1.0,
-                    0.0 if termination.isdisjoint(toks) else 1.0,
+                    0.0 if AFFIRMATION_WORDS.isdisjoint(toks) else 1.0,
+                    0.0 if NEGATION_WORDS.isdisjoint(toks) else 1.0,
+                    0.0 if TERMINATION_WORDS.isdisjoint(toks) else 1.0,
                     float(len(toks)),
                 )
             r = by_response.get(turn.voice_response)
@@ -429,7 +420,7 @@ def label_corpus(
 
 # --- model file -----------------------------------------------------------
 
-_MODEL_FORMAT_VERSION = 2
+_MODEL_FORMAT_VERSION = 3  # 3: the prompt lexicons are no longer stored
 
 
 def save_weak_model(path, model: WeakLabelModel, extractor: FeatureExtractor) -> None:

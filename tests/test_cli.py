@@ -1,10 +1,12 @@
 import csv
 import json
+from dataclasses import asdict
 
 import pytest
 
 from satgate.cli import dispatch
 from satgate.dialog import Session, read_sessions, write_sessions
+from satgate.synth import DEFAULT_CATALOG
 
 
 @pytest.fixture(scope="module")
@@ -209,3 +211,39 @@ def test_runtime_error_exits_one(workdir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("satgate: error:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("gen-corpus", {"seed": 1, "num_sesions": 5}, "num_sesions"),  # typo
+    ("gen-corpus", {"seed": 1, "continue_prob": 0.7}, "continue_prob"),  # retired setting
+    ("gen-corpus", {"domain_catalog": [{**asdict(DEFAULT_CATALOG[0]), "template": ["x"]}]},
+     "template"),
+    ("train", {"model_preset": "tiny", "epoch": 1}, "epoch"),
+    ("train", {"model_preset": "tiny", "microbatch": 64}, "microbatch"),
+    ("simulate", {"treshold": 0.7, "variants": [{"name": "none"}]}, "treshold"),
+    ("simulate", {"variants": [{"name": "t", "knd": "transformer", "ckpt": "x"}]}, "knd"),
+])
+def test_config_file_with_unknown_key_fails_naming_it(workdir, labeled_path, capsys,
+                                                      command, config, key):
+    path = workdir / "bad-config.json"
+    path.write_text(json.dumps(config))
+    out = workdir / "bad-out"
+    args = {
+        "gen-corpus": ["--config", path, "--out", out],
+        "train": ["--config", path, "--corpus", labeled_path, "--out", out],
+        "simulate": ["--corpus", labeled_path, "--variants", path, "--out", out],
+    }[command]
+    assert dispatch([command, *map(str, args)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"satgate: error: ValueError: {command} ")
+    assert "unknown key(s)" in err and repr(key) in err.split("accepted keys")[0]
+    assert not out.exists()
+
+
+def test_train_rejects_unknown_batch_preset(workdir, labeled_path, capsys):
+    path = workdir / "bad-preset.json"
+    path.write_text(json.dumps({"model_preset": "tiny", "batch_preset": "desk-xx"}))
+    code = dispatch(["train", "--config", str(path), "--corpus", str(labeled_path),
+                     "--out", str(workdir / "bad-preset.ckpt")])
+    assert code == 1
+    assert "ValueError: unknown batch_preset 'desk-xx'; known presets:" in capsys.readouterr().err

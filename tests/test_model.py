@@ -314,7 +314,7 @@ def test_cross_turn_attention_and_head_match_straight_line_recomputation(tiny_se
         previous = e[:-1] or e  # a session's first turn attends to itself
         q = linear("cross_q", e[-1])
         logits = np.array([q @ linear("cross_k", x) for x in previous])
-        logits /= math.sqrt(config.attention_scale)
+        logits /= math.sqrt(config.embed_dim)
         w = np.exp(logits - logits.max())
         w /= w.sum()
         O = sum(wi * linear("cross_v", x) for wi, x in zip(w, previous))
@@ -390,8 +390,6 @@ def test_config_validation():
         PredictorConfig(embed_dim=10, num_heads=4)
     with pytest.raises(ValueError):
         PredictorConfig(text_blocks=0)
-    with pytest.raises(ValueError):
-        PredictorConfig(attention_scale=-1.0)
 
 
 def test_lipschitz_smoke(tiny_setup):
@@ -843,9 +841,10 @@ def test_checkpoint_of_older_version_rejected(tmp_path, tiny_setup):
     path = tmp_path / "old.ckpt"
     save_checkpoint(path, TINY_CONFIG, vocab, params)
     data = path.read_bytes()
-    path.write_bytes(data[:8] + (1).to_bytes(4, "little") + data[12:])
-    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
-        load_checkpoint(path)
+    for version in (1, 2):
+        path.write_bytes(data[:8] + version.to_bytes(4, "little") + data[12:])
+        with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
+            load_checkpoint(path)
 
 
 def test_truncated_or_corrupt_checkpoint_raises_checkpoint_error(tmp_path, tiny_setup):

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -8,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 from satgate.dialog import DialogueTurn, Session
 from satgate.weaklabel import (
     ABSENT_NEXT_TIME_DIFF,
+    AFFIRMATION_WORDS,
     CAUSAL_FEATURE_INDICES,
+    NEGATION_WORDS,
     NUM_FEATURES,
+    TERMINATION_WORDS,
     DegenerateDataError,
     FeatureExtractor,
     WeakLabelModel,
@@ -68,10 +72,10 @@ def _reference_row(ex, session, n):
     v = np.empty(NUM_FEATURES, dtype=np.float64)
     v[0] = cur.asr_confidence
     v[1] = (nxt.timestamp - cur.timestamp) if nxt is not None else ABSENT_NEXT_TIME_DIFF
-    v[2] = _ref_prompt(cur.query, ex.affirmation_words)
-    v[3] = _ref_prompt(nxt.query, ex.affirmation_words) if nxt is not None else 0.0
-    v[4] = _ref_prompt(cur.query, ex.negation_words)
-    v[5] = _ref_prompt(nxt.query, ex.negation_words) if nxt is not None else 0.0
+    v[2] = _ref_prompt(cur.query, AFFIRMATION_WORDS)
+    v[3] = _ref_prompt(nxt.query, AFFIRMATION_WORDS) if nxt is not None else 0.0
+    v[4] = _ref_prompt(cur.query, NEGATION_WORDS)
+    v[5] = _ref_prompt(nxt.query, NEGATION_WORDS) if nxt is not None else 0.0
     v[6] = ex.domain_popularity.get(_ref_domain(cur.domain_intent), 0.0)
     v[7] = (
         ex.domain_popularity.get(_ref_domain(nxt.domain_intent), 0.0) if nxt is not None else 0.0
@@ -91,8 +95,8 @@ def _reference_row(ex, session, n):
     v[16] = _ref_jaccard(cur.voice_response, nxt.voice_response) if nxt is not None else 0.0
     v[17] = _ref_jaccard(cur.voice_response, prv.voice_response) if prv is not None else 0.0
     v[18] = _ref_jaccard(cur.query, cur.voice_response)
-    v[19] = _ref_prompt(cur.query, ex.termination_words)
-    v[20] = _ref_prompt(nxt.query, ex.termination_words) if nxt is not None else 0.0
+    v[19] = _ref_prompt(cur.query, TERMINATION_WORDS)
+    v[20] = _ref_prompt(nxt.query, TERMINATION_WORDS) if nxt is not None else 0.0
     return v
 
 
@@ -421,6 +425,17 @@ def test_model_file_roundtrip(tmp_path, small_corpus, small_extractor):
     assert back_extractor.domain_popularity == small_extractor.domain_popularity
     fv = X[3]
     assert weak_label(back_model, fv) == weak_label(model, fv)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_model_file_of_older_format_rejected(tmp_path, small_extractor, version):
+    path = tmp_path / "weak.json"
+    save_weak_model(path, WeakLabelModel(weights=np.zeros(NUM_FEATURES), bias=0.0), small_extractor)
+    record = json.loads(path.read_text())
+    record["format_version"] = version
+    path.write_text(json.dumps(record))
+    with pytest.raises(ValueError, match=f"unsupported weak-model format: {version}"):
+        load_weak_model(path)
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,6 +7,7 @@ from .net import (
     attend_turns,
     backward,
     encode_turn,
+    flat_views,
     forward,
     forward_batch,
     init_params,
@@ -32,6 +33,7 @@ __all__ = [
     "attend_turns",
     "backward",
     "encode_turn",
+    "flat_views",
     "forward",
     "forward_batch",
     "init_params",

@@ -16,7 +16,7 @@ import struct
 import numpy as np
 
 from .config import PredictorConfig
-from .net import param_shapes
+from .net import flat_views, param_shapes
 from .vocab import Vocabulary
 
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError"]
@@ -59,6 +59,8 @@ def save_checkpoint(path, config: PredictorConfig, vocab: Vocabulary, params: di
 
 
 def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, dict]:
+    """Config, vocabulary and parameters; the parameters are views into one
+    flat vector, laid out in ``param_shapes`` order (``flat_views``)."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -95,7 +97,7 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, dict]:
                 f"tensor {name!r} does not match the parameter set: checkpoint shape "
                 f"{found.get(name, 'absent')}, expected {expected.get(name, 'absent')}"
             )
-    params = {}
+    _, params = flat_views(expected)
     for name, shape, start in tensors:
         count = int(np.prod(shape)) if shape else 1
         end = start + 8 * count
@@ -105,7 +107,7 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, dict]:
                 f"{start}..{end}, but the payload holds {len(payload)}"
             )
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-        params[name] = arr.reshape(shape).copy()
+        params[name][...] = arr.reshape(shape)
     return config, vocab, params
 
 

@@ -40,6 +40,7 @@ from .vocab import Vocabulary
 __all__ = [
     "init_params",
     "param_shapes",
+    "flat_views",
     "zeros_grads",
     "attend_turns",
     "encode_turn",
@@ -186,18 +187,39 @@ def param_shapes(config: PredictorConfig, vocab: Vocabulary) -> dict:
     return {name: shape for name, shape, _ in _param_specs(config, vocab)}
 
 
+def flat_views(shapes: dict, buffer: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+    """One contiguous float64 vector, zeroed unless ``buffer`` is given, and a
+    dict of views into it: each name of ``shapes`` maps to its own slice,
+    reshaped, in the order of ``shapes``. Writing through a view writes the
+    vector, so a whole-state update can run as one vector operation."""
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if buffer is None:
+        buffer = np.zeros(sum(sizes))
+    views = {}
+    end = 0
+    for (name, shape), size in zip(shapes.items(), sizes):
+        views[name] = buffer[end : end + size].reshape(shape)
+        end += size
+    return buffer, views
+
+
 def init_params(config: PredictorConfig, vocab: Vocabulary, seed: int = 0) -> dict:
-    """Fresh parameter dictionary; every array is float64."""
+    """Fresh parameter dictionary: float64 views into one flat vector
+    (``flat_views``), in ``param_shapes`` order."""
+    specs = _param_specs(config, vocab)
+    _, params = flat_views({name: shape for name, shape, _ in specs})
     rng = np.random.default_rng(seed)
-    fills = {"zeros": np.zeros, "ones": np.ones}
-    return {
-        name: fills[init](shape) if isinstance(init, str) else rng.normal(0.0, init, shape)
-        for name, shape, init in _param_specs(config, vocab)
-    }
+    for name, shape, init in specs:
+        if init == "ones":
+            params[name][...] = 1.0
+        elif not isinstance(init, str):
+            params[name][...] = rng.normal(0.0, init, shape)
+    return params
 
 
 def zeros_grads(params: dict) -> dict:
-    return {k: np.zeros_like(v) for k, v in params.items()}
+    """Zeroed views, shaped like ``params``, into one fresh flat vector."""
+    return flat_views({k: np.shape(v) for k, v in params.items()})[1]
 
 
 # --- transformer block ----------------------------------------------------
@@ -466,11 +488,14 @@ def _score_windows(params, config: PredictorConfig, E, window_rows, turn_mask, w
     return p, cache
 
 
-def _backward_batch(params, config, batch, cache, d_logit):
-    """Gradients of sum_i d_logit[i] * logit_i with respect to every parameter."""
+def _backward_batch(params, config, batch, cache, d_logit, grads=None):
+    """Gradients of sum_i d_logit[i] * logit_i with respect to every parameter,
+    added into ``grads`` (zeroed arrays shaped like ``params``; fresh ones
+    when None), which is returned."""
     B, T = batch.window_rows.shape
     D = config.embed_dim
-    grads = zeros_grads(params)
+    if grads is None:
+        grads = zeros_grads(params)
     tm = cache["tm"]
 
     d_logit = d_logit * cache["clip_ok"]
@@ -527,18 +552,25 @@ def loss(p: float, label: float) -> float:
     return -(y * math.log(p) + (1.0 - y) * math.log(1.0 - p))
 
 
-def loss_and_grad_batch(params, config, batch: Batch, microbatch: int = 256):
+def loss_and_grad_batch(params, config, batch: Batch, microbatch: int = 256, out=None):
     """Mean cross-entropy over the batch and its exact gradient.
 
     Windows are processed in fixed index order, in chunks, and per-window
     gradients are summed before the final division, so the result does not
     depend on the chunk size up to float rounding (the chunking decides the
-    order in which gradients are summed).
+    order in which gradients are summed). The gradient is a dict of views
+    into one flat vector laid out as ``flat_views`` lays out ``params``:
+    ``out`` when given (it is overwritten), else a fresh one.
     """
     if microbatch < 1:
         raise ValueError(f"microbatch must be at least 1, got {microbatch!r}")
     n = len(batch)
-    total = zeros_grads(params)
+    shapes = {k: np.shape(v) for k, v in params.items()}
+    total, total_views = flat_views(shapes, out)
+    total[...] = 0.0
+    # A single chunk accumulates straight into the total; more chunks each
+    # sum into a zeroed scratch vector that is then added to the total.
+    part, part_views = (total, total_views) if n <= microbatch else flat_views(shapes)
     loss_sum = 0.0
     p_all = np.zeros(n)
     for start in range(0, n, microbatch):
@@ -547,13 +579,14 @@ def loss_and_grad_batch(params, config, batch: Batch, microbatch: int = 256):
         p, cache = forward_batch(params, config, sub, want_cache=True)
         y = sub.labels
         loss_sum += float(-np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
-        g = _backward_batch(params, config, sub, cache, p - y)
-        for key in total:
-            total[key] += g[key]
+        if part is not total:
+            part[...] = 0.0
+        _backward_batch(params, config, sub, cache, p - y, part_views)
+        if part is not total:
+            total += part
         p_all[idx] = p
-    for key in total:
-        total[key] /= n
-    return loss_sum / n, total, p_all
+    total /= n
+    return loss_sum / n, total_views, p_all
 
 
 def predict_scores(params, config, batch: Batch, microbatch: int = 1024) -> np.ndarray:

@@ -13,9 +13,9 @@ from .metrics import auc
 from .model import (
     PredictorConfig,
     WindowDataset,
+    flat_views,
     loss_and_grad_batch,
     predict_scores,
-    zeros_grads,
 )
 
 __all__ = [
@@ -112,17 +112,17 @@ def _binary_labels(labels: np.ndarray) -> np.ndarray:
     return (np.asarray(labels) >= 0.5).astype(np.int64)
 
 
-def adam_update(params: dict, grads: dict, m: dict, v: dict, t: int, tconfig: TrainConfig) -> None:
-    """One bias-corrected Adam step, in place. ``t`` counts from 1."""
+def adam_update(params: np.ndarray, grads: np.ndarray, m: np.ndarray, v: np.ndarray,
+                t: int, tconfig: TrainConfig) -> None:
+    """One bias-corrected Adam step over flat float64 vectors, in place. ``t``
+    counts from 1."""
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for key in params:
-        g = grads[key]
-        m[key] = ADAM_BETA1 * m[key] + (1.0 - ADAM_BETA1) * g
-        v[key] = ADAM_BETA2 * v[key] + (1.0 - ADAM_BETA2) * (g * g)
-        params[key] -= tconfig.learning_rate * (m[key] / bc1) / (
-            np.sqrt(v[key] / bc2) + ADAM_EPS
-        )
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (grads * grads)
+    params -= tconfig.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def _session_shuffled_order(session_of_window: np.ndarray, rng) -> np.ndarray:
@@ -156,33 +156,39 @@ def train(
     if n == 0 or (val_batch is not None and len(val_batch) == 0):
         raise ValueError("training and validation corpora must be non-empty")
 
-    params = {k: v.copy() for k, v in params.items()}
+    shapes = {k: np.shape(p) for k, p in params.items()}
+    flat, views = flat_views(shapes)
+    for k, p in params.items():
+        views[k][...] = p
+    params = views
     labels = train_ds.batch.labels
     if tconfig.label_noise_rate > 0:
         labels = inject_label_noise(labels, tconfig.label_noise_rate, tconfig.seed)
     batch = replace(train_ds.batch, labels=labels)
 
     rng = np.random.default_rng([tconfig.seed, 0xA11])
-    m = zeros_grads(params)
-    v = zeros_grads(params)
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
+    grad_buffer = np.empty_like(flat)
     t = 0
     trace: list[TraceRow] = []
     best_auc = None
     best_epoch = None
-    best_params = {k: p.copy() for k, p in params.items()}
+    best_flat = flat.copy()
     val_labels = _binary_labels(val_batch.labels) if val_batch is not None else None
 
     for epoch in range(1, tconfig.epochs + 1):
         order = _session_shuffled_order(train_ds.session_index, rng)
         for bi, start in enumerate(range(0, n, tconfig.batch_size)):
             idx = order[start : start + tconfig.batch_size]
-            batch_loss, grads, _ = loss_and_grad_batch(params, config, batch.subset(idx))
+            batch_loss, _, _ = loss_and_grad_batch(params, config, batch.subset(idx),
+                                                   out=grad_buffer)
             if not math.isfinite(batch_loss):
                 raise RuntimeError(
                     f"non-finite training loss at epoch {epoch}, batch {bi}"
                 )
             t += 1
-            adam_update(params, grads, m, v, t, tconfig)
+            adam_update(flat, grad_buffer, m, v, t, tconfig)
             trace.append(TraceRow(epoch=epoch, step=t, train_loss=batch_loss, val_auc=None))
 
         if val_batch is not None and (
@@ -194,12 +200,12 @@ def train(
             if best_auc is None or epoch_auc > best_auc:
                 best_auc = epoch_auc
                 best_epoch = epoch
-                best_params = {k: p.copy() for k, p in params.items()}
+                best_flat = flat.copy()
 
     if val_batch is None:
-        best_params = {k: p.copy() for k, p in params.items()}
+        best_flat = flat.copy()
     return TrainResult(
-        params=best_params,
+        params=flat_views(shapes, best_flat)[1],
         final_params=params,
         trace=trace,
         best_val_auc=best_auc,

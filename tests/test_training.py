@@ -59,15 +59,15 @@ def test_adam_step_descends_quadratic():
     step equals lr * g / (|g| + eps), so the loss must drop for small lr."""
     tconfig = TrainConfig(batch_size=1, learning_rate=1e-3)
     x0 = 1.0
-    params = {"x": np.array(x0)}
+    params = np.array([x0])
     g = x0 - 3.0
-    m = {"x": np.zeros(())}
-    v = {"x": np.zeros(())}
-    adam_update(params, {"x": np.array(g)}, m, v, t=1, tconfig=tconfig)
+    m = np.zeros(1)
+    v = np.zeros(1)
+    adam_update(params, np.array([g]), m, v, t=1, tconfig=tconfig)
     expected = x0 - 1e-3 * g / (abs(g) + ADAM_EPS)
-    assert params["x"] == pytest.approx(expected, abs=1e-15)
+    assert params[0] == pytest.approx(expected, abs=1e-15)
     f = lambda x: 0.5 * (x - 3.0) ** 2
-    assert f(params["x"]) < f(x0)
+    assert f(params[0]) < f(x0)
 
 
 def test_inject_label_noise_counts():

@@ -81,10 +81,13 @@ def _softmax_last(logits: np.ndarray) -> np.ndarray:
     return ez / ez.sum(axis=-1, keepdims=True)
 
 
+# The layer-norm means are sums over the last axis divided by its length:
+# the same bits as ``.mean``, without its Python-level wrapper.
 def _ln_forward(x, gain, bias):
-    mu = x.mean(axis=-1, keepdims=True)
+    D = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / D
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / D
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
     return xhat * gain + bias, (xhat, inv)
@@ -96,10 +99,11 @@ def _ln_backward(dy, gain, cache):
     d_gain = (dy * xhat).sum(axis=axes)
     d_bias = dy.sum(axis=axes)
     dxhat = dy * gain
+    D = dy.shape[-1]
     dx = inv * (
         dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        - dxhat.sum(axis=-1, keepdims=True) / D
+        - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / D)
     )
     return dx, d_gain, d_bias
 

@@ -655,6 +655,22 @@ def test_loss_and_grad_batch_rejects_microbatch_below_one(repeated_setup, microb
         net.loss_and_grad_batch(params, TINY_CONFIG, batch, microbatch=microbatch)
 
 
+def test_loss_and_grad_batch_fills_the_given_flat_buffer(repeated_setup):
+    """With ``out`` the gradient lands in that vector, overwriting what it
+    held, and equals the gradient of a call without it bit for bit, with one
+    chunk and with several."""
+    batch, params = repeated_setup
+    size = sum(v.size for v in params.values())
+    for microbatch in (256, 3):
+        _, want, _ = net.loss_and_grad_batch(params, TINY_CONFIG, batch, microbatch)
+        out = np.full(size, 7.0)
+        _, got, _ = net.loss_and_grad_batch(params, TINY_CONFIG, batch, microbatch, out=out)
+        assert list(got) == list(params)
+        for name in params:
+            assert got[name].base is out
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+
 # --- length buckets of the text stack ----------------------------------------------
 
 
@@ -811,6 +827,41 @@ def test_checkpoint_roundtrip_and_determinism(tmp_path, tiny_setup):
     assert sorted(params2) == sorted(params)
     for key in params:
         assert np.array_equal(params2[key], params[key])
+
+
+def test_init_params_are_views_of_one_buffer_drawn_per_tensor():
+    """Names, shapes and order follow ``param_shapes``; every tensor is a
+    view into one flat vector, laid end to end; and the values are the
+    per-tensor draws of the same seeded stream, bit for bit."""
+    vocab = Vocabulary(tokens=["a", "b"], domains=["d"], slot_keys=["k"], items=["m"])
+    params = init_params(TINY_CONFIG, vocab, seed=3)
+    shapes = net.param_shapes(TINY_CONFIG, vocab)
+    assert list(params) == list(shapes)
+    buffer = params["tok_emb"].base
+    assert buffer.ndim == 1 and buffer.size == sum(math.prod(s) for s in shapes.values())
+    end = 0
+    for name, shape in shapes.items():
+        assert params[name].shape == shape and params[name].base is buffer
+        assert np.shares_memory(params[name], buffer[end : end + params[name].size])
+        end += params[name].size
+    rng = np.random.default_rng(3)
+    fills = {"zeros": np.zeros, "ones": np.ones}
+    for name, shape, init in net._param_specs(TINY_CONFIG, vocab):
+        want = fills[init](shape) if isinstance(init, str) else rng.normal(0.0, init, shape)
+        assert params[name].tobytes() == want.tobytes(), name
+
+
+def test_checkpoint_loads_into_one_buffer(tmp_path, tiny_setup):
+    _, vocab, params = tiny_setup
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, TINY_CONFIG, vocab, params)
+    _, _, loaded = load_checkpoint(path)
+    assert list(loaded) == list(net.param_shapes(TINY_CONFIG, vocab))
+    buffer = loaded["tok_emb"].base
+    assert buffer.ndim == 1 and buffer.size == sum(v.size for v in params.values())
+    for name in params:
+        assert loaded[name].base is buffer
+        assert loaded[name].tobytes() == params[name].tobytes()
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -4,9 +4,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from satgate.model import TINY_CONFIG, Vocabulary, WindowDataset, init_params, predict_scores
+from satgate import training
+from satgate.model import (
+    TINY_CONFIG,
+    Vocabulary,
+    WindowDataset,
+    flat_views,
+    init_params,
+    predict_scores,
+)
 from satgate.synth import CorpusConfig, generate
 from satgate.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_EPS,
     BATCH_PRESETS,
     TrainConfig,
@@ -68,6 +78,74 @@ def test_adam_step_descends_quadratic():
     assert params[0] == pytest.approx(expected, abs=1e-15)
     f = lambda x: 0.5 * (x - 3.0) ** 2
     assert f(params[0]) < f(x0)
+
+
+def test_flat_adam_update_equals_per_tensor_reference():
+    """Three steps over one flat vector give the bits of the per-tensor
+    update, tensor by tensor."""
+    rng = np.random.default_rng(4)
+    shapes = {"w": (3, 4), "b": (4,), "s": ()}
+    tconfig = TrainConfig(learning_rate=0.01)
+    flat, params = flat_views(shapes, rng.normal(size=17))
+    ref = {k: p.copy() for k, p in params.items()}
+    m, v = np.zeros(17), np.zeros(17)
+    ref_m = {k: np.zeros(s) for k, s in shapes.items()}
+    ref_v = {k: np.zeros(s) for k, s in shapes.items()}
+    for t in (1, 2, 3):
+        g, grads = flat_views(shapes, rng.normal(size=17))
+        adam_update(flat, g, m, v, t, tconfig)
+        bc1, bc2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+        for k in shapes:
+            ref_m[k] = ADAM_BETA1 * ref_m[k] + (1.0 - ADAM_BETA1) * grads[k]
+            ref_v[k] = ADAM_BETA2 * ref_v[k] + (1.0 - ADAM_BETA2) * (grads[k] * grads[k])
+            ref[k] -= tconfig.learning_rate * (ref_m[k] / bc1) / (
+                np.sqrt(ref_v[k] / bc2) + ADAM_EPS
+            )
+    for k in shapes:
+        assert params[k].tobytes() == ref[k].tobytes(), k
+
+
+def test_train_accepts_params_with_a_replaced_entry(tiny_data):
+    """An entry replaced by an array outside init_params' buffer is copied in
+    like any other; the caller's arrays are left alone."""
+    vocab, train_ds, val_ds = tiny_data
+    params = init_params(TINY_CONFIG, vocab, seed=2)
+    params["out_b"] = np.array(0.5)
+    before = {k: p.copy() for k, p in params.items()}
+    tconfig = TrainConfig(batch_size=32, learning_rate=0.0, epochs=1, seed=0)
+    result = train(params, TINY_CONFIG, train_ds, val_ds, tconfig)
+    buffer = result.final_params["tok_emb"].base
+    for key in params:
+        assert result.final_params[key].base is buffer
+        assert np.array_equal(result.final_params[key], before[key])
+        assert np.array_equal(params[key], before[key])
+    moved = train(params, TINY_CONFIG, train_ds, None, replace(tconfig, learning_rate=0.01))
+    assert moved.final_params["out_b"] != 0.5
+    assert params["out_b"] == 0.5
+
+
+def test_allocator_policy_sets_both_thresholds(monkeypatch):
+    calls = []
+
+    class FakeLibc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(training.ctypes, "CDLL", lambda name: FakeLibc())
+    training._keep_step_memory_mapped()
+    assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
+
+
+@pytest.mark.parametrize("libc", ["no-mallopt", "no-libc"])
+def test_allocator_policy_is_a_no_op_without_mallopt(monkeypatch, libc):
+    def cdll(name):
+        if libc == "no-libc":
+            raise OSError("no C library")
+        return object()  # a C library without mallopt, as on macOS
+
+    monkeypatch.setattr(training.ctypes, "CDLL", cdll)
+    assert training._keep_step_memory_mapped() is None
 
 
 def test_inject_label_noise_counts():

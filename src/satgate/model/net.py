@@ -146,6 +146,22 @@ def attend_turns(query_vec, keys, values, d: float) -> np.ndarray:
     return _attend(q[None], K, V, None, d)[0][0]
 
 
+def _scatter_add(out, ids, rows):
+    """``out[ids] += rows`` with repeated ids summed, as ``np.add.at`` does.
+
+    A stable sort groups equal ids in their original order and
+    ``np.add.reduceat`` sums each group, so every output row is added to
+    once; the result matches ``np.add.at`` up to float rounding of the
+    regrouped sum.
+    """
+    if ids.size == 0:
+        return
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
+    out[sorted_ids[starts]] += np.add.reduceat(rows[order], starts, axis=0)
+
+
 # --- parameters -----------------------------------------------------------
 
 
@@ -413,18 +429,18 @@ def _encode_pool_backward(params, grads, config, batch: Batch, cache, d_E):
         d_y = _block_backward(
             params, grads, f"struct{b}.", d_y, cache["struct_caches"][b], config.num_heads
         )
-    np.add.at(grads["dom_emb"], batch.dom_ids, d_y[:, 0, :])
+    _scatter_add(grads["dom_emb"], batch.dom_ids, d_y[:, 0, :])
     d_slot_vec = d_y[:, 1, :]
-    np.add.at(grads["item_emb"], batch.item_ids, d_y[:, 2, :])
+    _scatter_add(grads["item_emb"], batch.item_ids, d_y[:, 2, :])
     d_summary = d_y[:, 3, :]
 
     key_mask, val_mask = batch.slot_key_mask, batch.slot_val_mask
     d_slot_tok = d_slot_vec[:, None, :] * key_mask[..., None] / cache["key_cnt"][:, None, None]
-    np.add.at(grads["slotkey_emb"], batch.slot_key_ids.ravel(), d_slot_tok.reshape(-1, D))
+    _scatter_add(grads["slotkey_emb"], batch.slot_key_ids.ravel(), d_slot_tok.reshape(-1, D))
     d_val_emb = (
         d_slot_tok[:, :, None, :] * val_mask[..., None] / cache["val_cnt"][..., None, None]
     )
-    np.add.at(grads["tok_emb"], batch.slot_val_ids.ravel(), d_val_emb.reshape(-1, D))
+    _scatter_add(grads["tok_emb"], batch.slot_val_ids.ravel(), d_val_emb.reshape(-1, D))
 
     nb = config.text_blocks
     for i, (rows, width) in enumerate(cache["buckets"]):
@@ -432,7 +448,7 @@ def _encode_pool_backward(params, grads, config, batch: Batch, cache, d_E):
         d_x = d_summary[rows, None, :]
         for b in range(nb - 1, -1, -1):
             d_x = _block_backward(params, grads, f"text{b}.", d_x, caches[b], config.num_heads)
-        np.add.at(grads["tok_emb"], batch.text_ids[rows, :width].ravel(), d_x.reshape(-1, D))
+        _scatter_add(grads["tok_emb"], batch.text_ids[rows, :width].ravel(), d_x.reshape(-1, D))
         grads["pos_emb"][:width] += d_x.sum(axis=0)
 
 
@@ -539,7 +555,7 @@ def _backward_batch(params, config, batch, cache, d_logit, grads=None):
     np.add.at(grads["turn_offset_emb"], offsets, d_e_real.sum(axis=0))
 
     d_E = np.zeros((batch.pool_size, D))
-    np.add.at(d_E, batch.window_rows.ravel(), d_e_real.reshape(B * T, D))
+    _scatter_add(d_E, batch.window_rows.ravel(), d_e_real.reshape(B * T, D))
     _encode_pool_backward(params, grads, config, batch, cache["pool"], d_E)
     return grads
 

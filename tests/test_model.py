@@ -671,6 +671,26 @@ def test_loss_and_grad_batch_fills_the_given_flat_buffer(repeated_setup):
             assert got[name].tobytes() == want[name].tobytes(), name
 
 
+# --- embedding scatter ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ids", [
+    pytest.param([4, 0, 4, 2, 4, 0, 7, 2], id="repeated"),
+    pytest.param([3], id="single"),
+    pytest.param([5, 5, 5, 5, 5], id="all-equal"),
+    pytest.param([], id="empty"),
+])
+def test_scatter_add_matches_add_at(ids):
+    rng = np.random.default_rng(len(ids))
+    ids = np.array(ids, dtype=np.int64)
+    rows = rng.normal(size=(len(ids), 6))
+    want = rng.normal(size=(9, 6))
+    got = want.copy()
+    np.add.at(want, ids, rows)
+    net._scatter_add(got, ids, rows)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 # --- length buckets of the text stack ----------------------------------------------
 
 

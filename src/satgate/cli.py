@@ -308,21 +308,42 @@ _SIMULATE_KEYS = ("threshold", "p_fix", "p_annoy", "variants", "rating_source",
 _VARIANT_KEYS = {"none": (), "weak": ("model",), "transformer": ("ckpt",)}
 
 
+def _variant_entries(spec: dict) -> list[dict]:
+    """The spec's variant entries, each checked to be an object of a known
+    kind holding its kind's required fields and no unknown key."""
+    entries = spec.get("variants", [])
+    if not isinstance(entries, list):
+        raise ValueError(
+            f"simulate variants spec: 'variants' must be a JSON array of variant objects, "
+            f"got {type(entries).__name__}"
+        )
+    for i, entry in enumerate(entries):
+        where = f"simulate variants[{i}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}: must be a JSON object, got {type(entry).__name__}")
+        kind = entry.get("kind", "none")
+        if kind not in _VARIANT_KEYS:
+            raise ValueError(f"{where}: unknown variant kind {kind!r}")
+        for field in ("name", *_VARIANT_KEYS[kind]):
+            if field not in entry:
+                raise ValueError(f"{where}: missing required field {field!r}")
+        _check_keys(entry, ("name", "kind", "threshold", *_VARIANT_KEYS[kind]),
+                    f"simulate variant {entry['name']!r}")
+    return entries
+
+
 def _cmd_simulate(args) -> int:
     spec = _load_config_file(args.variants)
     _check_keys(spec, _SIMULATE_KEYS, "simulate variants spec")
+    entries = _variant_entries(spec)
     sessions = read_sessions(args.corpus)
     default_threshold = float(spec.get("threshold", 0.7))
     behavior = gate_mod.BehaviorModel(
         p_fix=float(spec.get("p_fix", 0.8)), p_annoy=float(spec.get("p_annoy", 0.5))
     )
     variants = []
-    for entry in spec.get("variants", []):
+    for entry in entries:
         kind = entry.get("kind", "none")
-        if kind not in _VARIANT_KEYS:
-            raise ValueError(f"unknown variant kind {kind!r}")
-        _check_keys(entry, ("name", "kind", "threshold", *_VARIANT_KEYS[kind]),
-                    f"simulate variant {entry.get('name')!r}")
         name = entry["name"]
         threshold = float(entry.get("threshold", default_threshold))
         if kind == "none":

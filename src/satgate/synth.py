@@ -14,7 +14,7 @@ catalog; user behavior, reaction gaps and confidences are module constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 import numpy as np
 from scipy.special import betaincinv
 
@@ -328,18 +328,28 @@ class CorpusConfig:
         d = dict(d)
         catalog = d.pop("domain_catalog", None)
         if catalog is not None:
-            d["domain_catalog"] = tuple(
-                DomainSpec(
-                    domain_intent=c["domain_intent"],
-                    slot_key=c["slot_key"],
-                    templates=tuple(c["templates"]),
-                    response_templates=tuple(c["response_templates"]),
-                    items=tuple(c["items"]),
-                    weight=float(c["weight"]),
-                )
-                for c in catalog
-            )
+            d["domain_catalog"] = tuple(_domain_spec(i, c) for i, c in enumerate(catalog))
         return cls(**d)
+
+
+def _domain_spec(index: int, entry) -> DomainSpec:
+    """The ``index``-th ``domain_catalog`` entry of a config dict as a
+    DomainSpec; an entry that is not an object or lacks a field raises a
+    ValueError naming the entry and the field."""
+    where = f"domain_catalog[{index}]"
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} must be an object, got {type(entry).__name__}")
+    for f in fields(DomainSpec):
+        if f.name not in entry:
+            raise ValueError(f"{where} lacks required field {f.name!r}")
+    return DomainSpec(
+        domain_intent=entry["domain_intent"],
+        slot_key=entry["slot_key"],
+        templates=tuple(entry["templates"]),
+        response_templates=tuple(entry["response_templates"]),
+        items=tuple(entry["items"]),
+        weight=float(entry["weight"]),
+    )
 
 
 def _pick(u: float, n: int) -> int:

@@ -240,6 +240,29 @@ def test_config_file_with_unknown_key_fails_naming_it(workdir, labeled_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec, message", [
+    pytest.param({"variants": [{"kind": "none"}]},
+                 "simulate variants[0]: missing required field 'name'", id="no-name"),
+    pytest.param({"variants": [{"name": "n", "kind": "none"}, {"name": "t", "kind": "transformer"}]},
+                 "simulate variants[1]: missing required field 'ckpt'", id="no-ckpt"),
+    pytest.param({"variants": {"n": {"kind": "none"}}},
+                 "simulate variants spec: 'variants' must be a JSON array of variant objects, "
+                 "got dict", id="variants-object"),
+    pytest.param({"variants": ["none"]},
+                 "simulate variants[0]: must be a JSON object, got str", id="entry-string"),
+])
+def test_simulate_rejects_malformed_variants_naming_the_entry(workdir, labeled_path, capsys,
+                                                              spec, message):
+    path = workdir / "bad-variants.json"
+    path.write_text(json.dumps(spec))
+    out = workdir / "bad-sim.csv"
+    code = dispatch(["simulate", "--corpus", str(labeled_path), "--variants", str(path),
+                     "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"satgate: error: ValueError: {message}\n"
+    assert not out.exists()
+
+
 def test_train_rejects_unknown_batch_preset(workdir, labeled_path, capsys):
     path = workdir / "bad-preset.json"
     path.write_text(json.dumps({"model_preset": "tiny", "batch_preset": "desk-xx"}))

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,14 @@ def test_config_validation():
 def test_config_roundtrip():
     config = CorpusConfig(seed=1, num_sessions=5, asr_error_rate=0.2)
     assert CorpusConfig.from_dict(config.to_dict()) == config
+
+
+@pytest.mark.parametrize("field", ["weight", "templates"])
+def test_from_dict_names_the_catalog_entry_missing_a_field(field):
+    catalog = [asdict(spec) for spec in CorpusConfig().domain_catalog[:2]]
+    del catalog[1][field]
+    with pytest.raises(ValueError, match=rf"domain_catalog\[1\] lacks required field '{field}'"):
+        CorpusConfig.from_dict({"domain_catalog": catalog})
 
 
 def test_catalog_override():

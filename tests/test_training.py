@@ -127,12 +127,12 @@ def test_train_accepts_params_with_a_replaced_entry(tiny_data):
 def test_allocator_policy_sets_both_thresholds(monkeypatch):
     calls = []
 
-    class FakeLibc:
-        def mallopt(self, param, value):
-            calls.append((param, value))
-            return 1
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
 
-    monkeypatch.setattr(training.ctypes, "CDLL", lambda name: FakeLibc())
+    libc = type("FakeLibc", (), {"mallopt": staticmethod(mallopt)})
+    monkeypatch.setattr(training.ctypes, "CDLL", lambda name: libc)
     training._keep_step_memory_mapped()
     assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
 

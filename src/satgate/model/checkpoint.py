@@ -2,8 +2,8 @@
 
 Layout: 8-byte magic, u32 format version (3), u64 header length, JSON header
 (config, vocabulary, tensor manifest with offsets), then the raw little-endian
-float64 tensor bytes in manifest order. Identical contents serialize to
-identical bytes. Version 3 dropped ``attention_scale`` from the header's
+float64 tensor bytes in manifest order, each tensor starting where the one
+before it ends. Identical contents serialize to identical bytes. Version 3 dropped ``attention_scale`` from the header's
 config; files of any other version are rejected with a ``CheckpointError``
 that names it.
 """
@@ -11,6 +11,7 @@ that names it.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -59,8 +60,10 @@ def save_checkpoint(path, config: PredictorConfig, vocab: Vocabulary, params: di
 
 
 def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, dict]:
-    """Config, vocabulary and parameters; the parameters are views into one
-    flat vector, laid out in ``param_shapes`` order (``flat_views``)."""
+    """Config, vocabulary and parameters. The payload is copied once into one
+    flat vector, and the parameters are views into it in the file's tensor
+    order (``flat_views``); a tensor that does not start where the one
+    before it ends is a ``CheckpointError``."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -97,17 +100,20 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, dict]:
                 f"tensor {name!r} does not match the parameter set: checkpoint shape "
                 f"{found.get(name, 'absent')}, expected {expected.get(name, 'absent')}"
             )
-    _, params = flat_views(expected)
+    end = 0
     for name, shape, start in tensors:
-        count = int(np.prod(shape)) if shape else 1
-        end = start + 8 * count
+        if start != end:
+            raise CheckpointError(
+                f"corrupt checkpoint header: tensor {name!r} starts at payload byte "
+                f"{start}, but the tensors before it end at byte {end}"
+            )
+        end = start + 8 * math.prod(shape)
         if end > len(payload):
             raise CheckpointError(
                 f"truncated checkpoint: tensor {name!r} needs payload bytes "
                 f"{start}..{end}, but the payload holds {len(payload)}"
             )
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-        params[name][...] = arr.reshape(shape)
+    _, params = flat_views(found, np.frombuffer(payload, dtype="<f8", count=end // 8).copy())
     return config, vocab, params
 
 

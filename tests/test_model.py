@@ -876,11 +876,14 @@ def test_checkpoint_loads_into_one_buffer(tmp_path, tiny_setup):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, TINY_CONFIG, vocab, params)
     _, _, loaded = load_checkpoint(path)
-    assert list(loaded) == list(net.param_shapes(TINY_CONFIG, vocab))
+    assert list(loaded) == sorted(params)  # the file's tensor order
     buffer = loaded["tok_emb"].base
     assert buffer.ndim == 1 and buffer.size == sum(v.size for v in params.values())
-    for name in params:
+    end = 0
+    for name in loaded:
         assert loaded[name].base is buffer
+        assert np.shares_memory(loaded[name], buffer[end : end + loaded[name].size])
+        end += loaded[name].size
         assert loaded[name].tobytes() == params[name].tobytes()
 
 
@@ -951,6 +954,8 @@ def _drop_tensor_key(key):
     pytest.param(lambda h: h.pop("tensors"), "no 'tensors'", id="no-tensors"),
     pytest.param(_drop_tensor_key("offset"), "'tensors' lacks 'offset'", id="no-tensor-offset"),
     pytest.param(_drop_tensor_key("shape"), "'tensors' lacks 'shape'", id="no-tensor-shape"),
+    pytest.param(lambda h: h["tensors"][1].update(offset=h["tensors"][1]["offset"] + 8),
+                 "tensor '.*' starts at payload byte", id="tensor-offset-gap"),
     pytest.param(None, "not a JSON object", id="header-is-a-list"),
 ])
 def test_malformed_checkpoint_header_raises_checkpoint_error(tmp_path, tiny_setup, edit, expect):

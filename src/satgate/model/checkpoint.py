@@ -3,15 +3,16 @@
 Layout: 8-byte magic, u32 format version (3), u64 header length, JSON header
 (config, vocabulary, tensor manifest with offsets), then the raw little-endian
 float64 tensor bytes in manifest order, each tensor starting where the one
-before it ends. Identical contents serialize to identical bytes. Version 3 dropped ``attention_scale`` from the header's
-config; files of any other version are rejected with a ``CheckpointError``
-that names it.
+before it ends. Identical contents serialize to identical bytes. Version 3
+dropped ``attention_scale`` from the header's config; files of any other
+version are rejected with a ``CheckpointError`` that names it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -60,10 +61,10 @@ def save_checkpoint(path, config: PredictorConfig, vocab: Vocabulary, params: di
 
 
 def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, dict]:
-    """Config, vocabulary and parameters. The payload is copied once into one
-    flat vector, and the parameters are views into it in the file's tensor
-    order (``flat_views``); a tensor that does not start where the one
-    before it ends is a ``CheckpointError``."""
+    """Config, vocabulary and parameters. The payload is read straight into
+    one flat vector, and the parameters are views into it in the file's
+    tensor order (``flat_views``); a tensor that does not start where the
+    one before it ends is a ``CheckpointError``."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -79,7 +80,30 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, dict]:
             raise CheckpointError(
                 f"truncated checkpoint: header holds {len(raw_header)} of {header_len} bytes"
             )
-        payload = fh.read()
+        config, vocab, tensors = _parse_header(raw_header)
+        payload_len = os.fstat(fh.fileno()).st_size - fh.tell()
+        end = 0
+        for name, shape, start in tensors:
+            if start != end:
+                raise CheckpointError(
+                    f"corrupt checkpoint header: tensor {name!r} starts at payload byte "
+                    f"{start}, but the tensors before it end at byte {end}"
+                )
+            end = start + 8 * math.prod(shape)
+            if end > payload_len:
+                raise CheckpointError(
+                    f"truncated checkpoint: tensor {name!r} needs payload bytes "
+                    f"{start}..{end}, but the payload holds {payload_len}"
+                )
+        flat = np.empty(end // 8, dtype="<f8")
+        fh.readinto(flat)
+    _, params = flat_views({name: shape for name, shape, _ in tensors}, flat)
+    return config, vocab, params
+
+
+def _parse_header(raw_header: bytes):
+    """(config, vocab, [(name, shape, offset)]) from the JSON header, with the
+    tensors checked against the parameter set the config and vocab define."""
     try:
         header = json.loads(raw_header.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -100,21 +124,7 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, dict]:
                 f"tensor {name!r} does not match the parameter set: checkpoint shape "
                 f"{found.get(name, 'absent')}, expected {expected.get(name, 'absent')}"
             )
-    end = 0
-    for name, shape, start in tensors:
-        if start != end:
-            raise CheckpointError(
-                f"corrupt checkpoint header: tensor {name!r} starts at payload byte "
-                f"{start}, but the tensors before it end at byte {end}"
-            )
-        end = start + 8 * math.prod(shape)
-        if end > len(payload):
-            raise CheckpointError(
-                f"truncated checkpoint: tensor {name!r} needs payload bytes "
-                f"{start}..{end}, but the payload holds {len(payload)}"
-            )
-    _, params = flat_views(found, np.frombuffer(payload, dtype="<f8", count=end // 8).copy())
-    return config, vocab, params
+    return config, vocab, tensors
 
 
 def _header_field(header: dict, field: str, parse):

@@ -588,9 +588,8 @@ def loss_and_grad_batch(params, config, batch: Batch, microbatch: int = 256, out
     shapes = {k: np.shape(v) for k, v in params.items()}
     total, total_views = flat_views(shapes, out)
     total[...] = 0.0
-    # A single chunk accumulates straight into the total; more chunks each
-    # sum into a zeroed scratch vector that is then added to the total.
-    part, part_views = (total, total_views) if n <= microbatch else flat_views(shapes)
+    # Each chunk sums into a zeroed scratch vector that is then added to the total.
+    part, part_views = flat_views(shapes)
     loss_sum = 0.0
     p_all = np.zeros(n)
     for start in range(0, n, microbatch):
@@ -599,11 +598,9 @@ def loss_and_grad_batch(params, config, batch: Batch, microbatch: int = 256, out
         p, cache = forward_batch(params, config, sub, want_cache=True)
         y = sub.labels
         loss_sum += float(-np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
-        if part is not total:
-            part[...] = 0.0
+        part[...] = 0.0
         _backward_batch(params, config, sub, cache, p - y, part_views)
-        if part is not total:
-            total += part
+        total += part
         p_all[idx] = p
     total /= n
     return loss_sum / n, total_views, p_all

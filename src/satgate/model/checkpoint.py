@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 
 import numpy as np
@@ -64,7 +63,7 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, dict]:
     """Config, vocabulary and parameters. The payload is read straight into
     one flat vector, and the parameters are views into it in the file's
     tensor order (``flat_views``); a tensor that does not start where the
-    one before it ends is a ``CheckpointError``."""
+    one before it ends, or that the file ends inside, is a ``CheckpointError``."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -81,7 +80,6 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, dict]:
                 f"truncated checkpoint: header holds {len(raw_header)} of {header_len} bytes"
             )
         config, vocab, tensors = _parse_header(raw_header)
-        payload_len = os.fstat(fh.fileno()).st_size - fh.tell()
         end = 0
         for name, shape, start in tensors:
             if start != end:
@@ -90,13 +88,15 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, dict]:
                     f"{start}, but the tensors before it end at byte {end}"
                 )
             end = start + 8 * math.prod(shape)
-            if end > payload_len:
-                raise CheckpointError(
-                    f"truncated checkpoint: tensor {name!r} needs payload bytes "
-                    f"{start}..{end}, but the payload holds {payload_len}"
-                )
         flat = np.empty(end // 8, dtype="<f8")
-        fh.readinto(flat)
+        got = fh.readinto(flat)
+    for name, shape, start in tensors:
+        stop = start + 8 * math.prod(shape)
+        if stop > got:
+            raise CheckpointError(
+                f"truncated checkpoint: tensor {name!r} needs payload bytes "
+                f"{start}..{stop}, but the payload holds {got}"
+            )
     _, params = flat_views({name: shape for name, shape, _ in tensors}, flat)
     return config, vocab, params
 

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -935,6 +937,37 @@ def test_truncated_or_corrupt_checkpoint_raises_checkpoint_error(tmp_path, tiny_
     cut_path.write_bytes(data[:20] + b"x" + data[21:])  # header no longer JSON
     with pytest.raises(CheckpointError, match="corrupt checkpoint header"):
         load_checkpoint(cut_path)
+
+
+def test_checkpoint_cut_inside_payload_names_the_tensor(tmp_path, tiny_setup):
+    _, vocab, params = tiny_setup
+    path = tmp_path / "cut.ckpt"
+    save_checkpoint(path, TINY_CONFIG, vocab, params)
+    data = path.read_bytes()
+    path.write_bytes(data[:-1])
+    last = sorted(params)[-1]
+    with pytest.raises(CheckpointError, match=rf"truncated checkpoint: tensor '{last}' needs"):
+        load_checkpoint(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_checkpoint_loads_from_a_pipe(tmp_path, tiny_setup):
+    """A stream reports no size; the payload is checked by what was read."""
+    _, vocab, params = tiny_setup
+    path = tmp_path / "full.ckpt"
+    save_checkpoint(path, TINY_CONFIG, vocab, params)
+    fifo = tmp_path / "pipe.ckpt"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(path.read_bytes())
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    _, _, loaded = load_checkpoint(fifo)
+    writer.join(timeout=10)
+    assert all(loaded[name].tobytes() == params[name].tobytes() for name in params)
 
 
 def _drop_tensor_key(key):

@@ -3,13 +3,13 @@ injection for robustness experiments."""
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from ._allocator import keep_working_memory_mapped
 from .metrics import auc
 from .model import (
     PredictorConfig,
@@ -44,13 +44,6 @@ BATCH_PRESETS: dict[str, tuple[int, float]] = {
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-# glibc mallopt parameters and the values ``_keep_step_memory_mapped`` sets.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD_BYTES = 32 << 20
-_TRIM_THRESHOLD_BYTES = 256 << 20
 
 
 @dataclass(frozen=True)
@@ -133,26 +126,6 @@ def adam_update(params: np.ndarray, grads: np.ndarray, m: np.ndarray, v: np.ndar
     params -= tconfig.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def _keep_step_memory_mapped() -> None:
-    """Keep a training step's working memory mapped between steps.
-
-    By default glibc serves each large activation array with its own mmap and
-    returns freed heap tops to the kernel, so every step page-faults its
-    ~20 MB of working memory back in. Raising the mmap threshold to 32 MiB
-    and the trim threshold to 256 MiB keeps that memory in the heap for the
-    next step. The setting lasts for the rest of the process. Where the C
-    library has no ``mallopt`` (macOS, Windows) this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
-
-
 def _session_shuffled_order(session_of_window: np.ndarray, rng) -> np.ndarray:
     """Windows in seeded-permuted session order, each session's windows kept
     contiguous so overlapping windows keep sharing turn encodings."""
@@ -182,11 +155,11 @@ def train(
     Parameters, the gradient and Adam's two moments each live in one flat
     float64 vector; the returned parameter dicts are views into such vectors.
     On glibc, the first thing a call does is raise the allocator's mmap and
-    trim thresholds (``_keep_step_memory_mapped``), so that steps reuse their
-    working memory instead of faulting it in again; the setting persists for
-    the rest of the process.
+    trim thresholds (``keep_working_memory_mapped``), so that steps reuse
+    their working memory instead of faulting it in again; the setting
+    persists for the rest of the process.
     """
-    _keep_step_memory_mapped()
+    keep_working_memory_mapped()
     n = len(train_ds)
     val_batch = val_ds.batch if val_ds is not None else None
     if n == 0 or (val_batch is not None and len(val_batch) == 0):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from satgate import _allocator
 from satgate.dialog import DialogueTurn, Session
 from satgate.model import (
     AGG_ID,
@@ -887,6 +888,17 @@ def test_checkpoint_loads_into_one_buffer(tmp_path, tiny_setup):
         assert np.shares_memory(loaded[name], buffer[end : end + loaded[name].size])
         end += loaded[name].size
         assert loaded[name].tobytes() == params[name].tobytes()
+
+
+def test_checkpoint_load_keeps_working_memory_mapped(monkeypatch, tmp_path, tiny_setup):
+    _, vocab, params = tiny_setup
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, TINY_CONFIG, vocab, params)
+    calls = []
+    libc = type("FakeLibc", (), {"mallopt": staticmethod(lambda *args: calls.append(args))})
+    monkeypatch.setattr(_allocator.ctypes, "CDLL", lambda name: libc)
+    load_checkpoint(path)
+    assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from satgate import training
+from satgate import _allocator
 from satgate.model import (
     TINY_CONFIG,
     Vocabulary,
@@ -132,8 +132,8 @@ def test_allocator_policy_sets_both_thresholds(monkeypatch):
         return 1
 
     libc = type("FakeLibc", (), {"mallopt": staticmethod(mallopt)})
-    monkeypatch.setattr(training.ctypes, "CDLL", lambda name: libc)
-    training._keep_step_memory_mapped()
+    monkeypatch.setattr(_allocator.ctypes, "CDLL", lambda name: libc)
+    _allocator.keep_working_memory_mapped()
     assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
 
 
@@ -144,8 +144,8 @@ def test_allocator_policy_is_a_no_op_without_mallopt(monkeypatch, libc):
             raise OSError("no C library")
         return object()  # a C library without mallopt, as on macOS
 
-    monkeypatch.setattr(training.ctypes, "CDLL", cdll)
-    assert training._keep_step_memory_mapped() is None
+    monkeypatch.setattr(_allocator.ctypes, "CDLL", cdll)
+    assert _allocator.keep_working_memory_mapped() is None
 
 
 def test_inject_label_noise_counts():

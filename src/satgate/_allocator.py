@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ctypes
+import functools
 
 # glibc mallopt parameters and the values ``keep_working_memory_mapped`` sets.
 _M_TRIM_THRESHOLD = -1
@@ -11,6 +12,7 @@ _MMAP_THRESHOLD_BYTES = 32 << 20
 _TRIM_THRESHOLD_BYTES = 256 << 20
 
 
+@functools.cache
 def keep_working_memory_mapped() -> None:
     """Keep the working memory of repeated model calls mapped between calls.
 
@@ -19,8 +21,8 @@ def keep_working_memory_mapped() -> None:
     decision page-faults its working memory back in. Raising the mmap
     threshold to 32 MiB and the trim threshold to 256 MiB keeps that memory
     in the heap for the next call. The setting lasts for the rest of the
-    process. Where the C library has no ``mallopt`` (macOS, Windows) this
-    does nothing.
+    process, so only the first call does anything. Where the C library has
+    no ``mallopt`` (macOS, Windows) this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -16,7 +16,6 @@ import struct
 
 import numpy as np
 
-from .._allocator import keep_working_memory_mapped
 from .config import PredictorConfig
 from .net import flat_views, param_shapes
 from .vocab import Vocabulary
@@ -64,12 +63,7 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, dict]:
     """Config, vocabulary and parameters. The payload is read straight into
     one flat vector, and the parameters are views into it in the file's
     tensor order (``flat_views``); a tensor that does not start where the
-    one before it ends, or that the file ends inside, is a ``CheckpointError``.
-
-    A loaded model is about to be run call after call, so on glibc this first
-    applies ``keep_working_memory_mapped``, as ``training.train`` does; the
-    setting persists for the rest of the process."""
-    keep_working_memory_mapped()
+    one before it ends, or that the file ends inside, is a ``CheckpointError``."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:

@@ -32,6 +32,7 @@ import math
 
 import numpy as np
 
+from .._allocator import keep_working_memory_mapped
 from ..dialog import DialogueTurn
 from .config import PredictorConfig
 from .data import Batch, encode_window
@@ -644,7 +645,13 @@ def encode_turn(params, config, vocab: Vocabulary, turn: DialogueTurn) -> np.nda
 
 
 def forward(params, config, vocab: Vocabulary, window: list[DialogueTurn]) -> float:
-    """Satisfaction probability for the last turn of the window."""
+    """Satisfaction probability for the last turn of the window.
+
+    A gate serves one window per call, call after call, so on glibc the
+    first call applies ``keep_working_memory_mapped`` (as ``training.train``
+    does) and later calls reuse the working memory the last one freed; the
+    setting persists for the rest of the process."""
+    keep_working_memory_mapped()
     batch = encode_window(list(window), vocab, config)
     p, _ = forward_batch(params, config, batch, want_cache=False)
     return float(p[0])

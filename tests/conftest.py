@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from satgate import _allocator
 from satgate.dialog import DialogueTurn, Session
 from satgate.synth import CorpusConfig, generate
 from satgate.weaklabel import FeatureExtractor
@@ -26,6 +27,18 @@ def make_turn(
         asr_confidence=asr_confidence,
         nlu_confidence=nlu_confidence,
     )
+
+
+@pytest.fixture
+def fake_mallopt(monkeypatch):
+    """The (param, value) pairs passed to a fake C library's ``mallopt``,
+    with the once-per-process allocator policy reset around the test."""
+    calls = []
+    libc = type("FakeLibc", (), {"mallopt": staticmethod(lambda *args: calls.append(args))})
+    monkeypatch.setattr(_allocator.ctypes, "CDLL", lambda name: libc)
+    _allocator.keep_working_memory_mapped.cache_clear()
+    yield calls
+    _allocator.keep_working_memory_mapped.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -124,17 +124,19 @@ def test_train_accepts_params_with_a_replaced_entry(tiny_data):
     assert params["out_b"] == 0.5
 
 
-def test_allocator_policy_sets_both_thresholds(monkeypatch):
-    calls = []
-
-    def mallopt(param, value):
-        calls.append((param, value))
-        return 1
-
-    libc = type("FakeLibc", (), {"mallopt": staticmethod(mallopt)})
-    monkeypatch.setattr(_allocator.ctypes, "CDLL", lambda name: libc)
+def test_allocator_policy_sets_both_thresholds_once(fake_mallopt):
     _allocator.keep_working_memory_mapped()
-    assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
+    _allocator.keep_working_memory_mapped()
+    assert fake_mallopt == [(-3, 32 << 20), (-1, 256 << 20)]
+
+
+def test_train_applies_the_allocator_policy(fake_mallopt):
+    sessions = generate(CorpusConfig(seed=3, num_sessions=6))
+    vocab = Vocabulary.build(sessions, TINY_CONFIG.vocab_size)
+    ds = WindowDataset.from_sessions(sessions, vocab, TINY_CONFIG, "oracle")
+    train(init_params(TINY_CONFIG, vocab, seed=0), TINY_CONFIG, ds, None,
+          TrainConfig(batch_size=64, learning_rate=0.0, epochs=1))
+    assert fake_mallopt == [(-3, 32 << 20), (-1, 256 << 20)]
 
 
 @pytest.mark.parametrize("libc", ["no-mallopt", "no-libc"])
@@ -145,7 +147,9 @@ def test_allocator_policy_is_a_no_op_without_mallopt(monkeypatch, libc):
         return object()  # a C library without mallopt, as on macOS
 
     monkeypatch.setattr(_allocator.ctypes, "CDLL", cdll)
+    _allocator.keep_working_memory_mapped.cache_clear()
     assert _allocator.keep_working_memory_mapped() is None
+    _allocator.keep_working_memory_mapped.cache_clear()
 
 
 def test_inject_label_noise_counts():

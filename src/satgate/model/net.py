@@ -589,7 +589,6 @@ def loss_and_grad_batch(params, config, batch: Batch, microbatch: int = 256, out
     shapes = {k: np.shape(v) for k, v in params.items()}
     total, total_views = flat_views(shapes, out)
     total[...] = 0.0
-    # Each chunk sums into a zeroed scratch vector that is then added to the total.
     part, part_views = flat_views(shapes)
     loss_sum = 0.0
     p_all = np.zeros(n)

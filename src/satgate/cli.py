@@ -144,10 +144,10 @@ def _cmd_extract_features(args) -> int:
 
 def _cmd_train_weak(args) -> int:
     sessions = read_sessions(args.labeled)
-    labels = [session.labels(args.labels) for session in sessions]
+    # Corpus order, as features_matrix's rows.
+    y = np.concatenate([np.zeros(0), *(session.labels(args.labels) for session in sessions)])
     extractor = weaklabel.FeatureExtractor.fit(sessions)
-    X, index = weaklabel.features_matrix(sessions, extractor)
-    y = np.array([labels[si][ti] for si, ti in index], dtype=np.float64)
+    X, _ = weaklabel.features_matrix(sessions, extractor)
     if args.max_samples is not None and args.max_samples < len(y):
         keep = np.random.default_rng(args.seed or 0).permutation(len(y))[: args.max_samples]
         X, y = X[keep], y[keep]
@@ -259,19 +259,16 @@ def _cmd_train(args) -> int:
 
 
 def _corpus_scores(ckpt_path, sessions, label_source="none"):
+    """The checkpoint's score for each corpus turn, in corpus order, and the dataset it scored."""
     model_config, vocab, params = load_checkpoint(ckpt_path)
     ds = WindowDataset.from_sessions(sessions, vocab, model_config, label_source)
-    scores = predict_scores(params, model_config, ds.batch)
-    per_session = [np.zeros(len(s.turns)) for s in sessions]
-    for score, si, ti in zip(scores, ds.session_index, ds.turn_index):
-        per_session[si][ti] = score
-    return per_session, scores, ds
+    return predict_scores(params, model_config, ds.batch), ds
 
 
 def _cmd_eval(args) -> int:
     sessions = read_sessions(args.corpus)
     # Oracle labels make the dataset reject, by name, a session that lacks them.
-    _, scores, ds = _corpus_scores(args.ckpt, sessions, "oracle")
+    scores, ds = _corpus_scores(args.ckpt, sessions, "oracle")
     labels = ds.labels.astype(np.int64)
     rows = [
         ("n_turns", float(len(labels))),
@@ -352,7 +349,7 @@ def _cmd_simulate(args) -> int:
             model, extractor = weaklabel.load_weak_model(entry["model"])
             scores = weaklabel.weak_label_sessions(model, extractor, sessions)
         else:
-            scores, _, _ = _corpus_scores(entry["ckpt"], sessions)
+            scores, _ = _corpus_scores(entry["ckpt"], sessions)
         variants.append(gate_mod.Variant(name=name, scores=scores, threshold=threshold))
     if not variants:
         raise ValueError("variants config names no variants")

@@ -8,7 +8,8 @@ weak labels produced by the labeling stage.
 Validation happens once, where a turn or session is built: the query and
 the response must be non-empty sequences of non-empty string tokens and each
 slot value a sequence of string tokens (a bare string is rejected, not split
-into characters), and timestamps and confidences must be real numbers (not
+into characters), the domain-intent, the result item and the session id must
+be strings, and timestamps and confidences must be real numbers (not
 booleans or numeric strings); a file's label arrays must hold numbers. ``read_sessions`` hands each parsed JSON
 record straight to those constructors, so a file's tokens are converted to
 tuples once and a bad record fails with a :class:`CorpusSchemaError` naming
@@ -88,6 +89,11 @@ def _check_slots(slots) -> tuple[tuple[str, tuple[str, ...]], ...]:
     return tuple(checked)
 
 
+def _check_str(name: str, value) -> None:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+
+
 def _check_number(name: str, value) -> float:
     if type(value) is not float:
         # bool is an int subclass, and float() would also accept "0.5".
@@ -127,6 +133,8 @@ class DialogueTurn:
         setattr_(self, "query", _check_tokens("query", self.query))
         setattr_(self, "voice_response", _check_tokens("voice_response", self.voice_response))
         setattr_(self, "slots", _check_slots(self.slots))
+        _check_str("domain_intent", self.domain_intent)
+        _check_str("result_item", self.result_item)
         timestamp = _check_number("timestamp", self.timestamp)
         if timestamp < 0:
             raise ValueError(f"timestamp must be non-negative, got {timestamp!r}")
@@ -145,6 +153,7 @@ class Session:
     weak_labels: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
+        _check_str("session_id", self.session_id)
         object.__setattr__(self, "turns", tuple(self.turns))
         for prev, cur in zip(self.turns, self.turns[1:]):
             if cur.timestamp < prev.timestamp:
@@ -203,16 +212,8 @@ _TURN_KEYS = (
 
 
 def _turn_to_obj(turn: DialogueTurn) -> dict:
-    return {
-        "query": list(turn.query),
-        "domain_intent": turn.domain_intent,
-        "slots": [[k, list(v)] for k, v in turn.slots],
-        "result_item": turn.result_item,
-        "voice_response": list(turn.voice_response),
-        "timestamp": turn.timestamp,
-        "asr_confidence": turn.asr_confidence,
-        "nlu_confidence": turn.nlu_confidence,
-    }
+    # json.dumps writes the token and slot tuples as JSON arrays.
+    return {key: getattr(turn, key) for key in _TURN_KEYS}
 
 
 def _session_to_obj(session: Session) -> dict:
@@ -221,9 +222,9 @@ def _session_to_obj(session: Session) -> dict:
         "turns": [_turn_to_obj(t) for t in session.turns],
     }
     if session.oracle_satisfaction is not None:
-        obj["oracle_satisfaction"] = list(session.oracle_satisfaction)
+        obj["oracle_satisfaction"] = session.oracle_satisfaction
     if session.weak_labels is not None:
-        obj["weak_labels"] = list(session.weak_labels)
+        obj["weak_labels"] = session.weak_labels
     return obj
 
 
@@ -236,9 +237,9 @@ def _turn_from_obj(obj, line_no: int) -> DialogueTurn:
     try:
         return DialogueTurn(
             query=obj["query"],
-            domain_intent=str(obj["domain_intent"]),
+            domain_intent=obj["domain_intent"],
             slots=obj["slots"],
-            result_item=str(obj["result_item"]),
+            result_item=obj["result_item"],
             voice_response=obj["voice_response"],
             timestamp=obj["timestamp"],
             asr_confidence=obj["asr_confidence"],
@@ -261,7 +262,7 @@ def _session_from_obj(obj, line_no: int) -> Session:
     weak = _labels_from_obj(obj, "weak_labels", {int, float}, "numbers", line_no)
     try:
         return Session(
-            session_id=str(obj["session_id"]),
+            session_id=obj["session_id"],
             turns=turns,
             oracle_satisfaction=oracle,
             weak_labels=weak,

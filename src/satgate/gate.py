@@ -106,10 +106,10 @@ def resolve_clarification(
 @dataclass(frozen=True)
 class Variant:
     """A gating policy: no predictor (always respond) or per-turn scores with
-    a threshold. ``scores`` aligns with the corpus session order."""
+    a threshold. ``scores`` holds one score per corpus turn, in corpus order."""
 
     name: str
-    scores: Optional[list[np.ndarray]]
+    scores: Optional[np.ndarray]
     threshold: float = 0.7
 
 
@@ -125,37 +125,33 @@ def _session_key(session_id: str) -> int:
     return int(hashlib.sha256(session_id.encode("utf-8")).hexdigest()[:12], 16)
 
 
-def _clarify_masks(variant: Variant, sessions: list[Session]) -> list[list[bool]]:
-    """Per session, the turns the variant clarifies on. Scores are checked
-    here, once, before any replay: a threshold inside (0, 1), and per session
-    one finite score strictly inside (0, 1) per turn."""
+def _clarify_mask(variant: Variant, sessions: list[Session], ends: np.ndarray) -> np.ndarray:
+    """The variant's clarify flag for each corpus turn, in corpus order; ``ends``
+    holds each session's end offset. Scores are checked here, once, before any
+    replay: a threshold and one score per turn, each strictly inside (0, 1)."""
+    n_turns = int(ends[-1]) if len(ends) else 0
     if variant.scores is None:
-        return [[False] * len(session.turns) for session in sessions]
+        return np.zeros(n_turns, dtype=bool)
     name = variant.name
     if not (0.0 < variant.threshold < 1.0):
         raise ValueError(
             f"variant {name!r}: threshold must lie strictly in (0, 1), got {variant.threshold!r}"
         )
-    if len(variant.scores) != len(sessions):
-        raise ValueError(f"variant {name!r} scores do not align with the corpus")
-    lengths = [len(raw) for raw in variant.scores]
-    for session, n in zip(sessions, lengths):
-        if n != len(session.turns):
-            raise ValueError(
-                f"variant {name!r}: session {session.session_id} has {n} scores "
-                f"for {len(session.turns)} turns"
-            )
-    ends = np.cumsum(lengths, dtype=np.int64)
-    flat = np.concatenate([np.zeros(0), *variant.scores])
-    ok = (flat > 0.0) & (flat < 1.0)  # NaN fails both
+    try:  # np.asarray raises on a ragged list, such as one array per session
+        scores = np.asarray(variant.scores, dtype=np.float64)
+        if scores.shape != (n_turns,):
+            raise ValueError(f"got shape {scores.shape}")
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"variant {name!r}: scores must be one 1-d array with a score "
+                         f"for each of the corpus's {n_turns} turns: {exc}") from None
+    ok = (scores > 0.0) & (scores < 1.0)  # NaN fails both
     if not ok.all():
         session = sessions[int(np.searchsorted(ends, np.argmin(ok), side="right"))]
         raise ValueError(
             f"variant {name!r}: session {session.session_id} has a score that is not "
             "a finite value strictly inside (0, 1)"
         )
-    clarify = (flat < variant.threshold).tolist()
-    return [clarify[end - n : end] for n, end in zip(lengths, ends.tolist())]
+    return scores < variant.threshold
 
 
 def _replay_session(
@@ -200,7 +196,9 @@ def simulate_ab(
     """
     if not variants:
         raise ValueError("at least one variant is required")
-    masks = [_clarify_masks(variant, sessions) for variant in variants]
+    ends = np.cumsum([len(s.turns) for s in sessions], dtype=np.int64)
+    masks = [_clarify_mask(variant, sessions, ends).tolist() for variant in variants]
+    spans = [slice(end - len(s.turns), end) for s, end in zip(sessions, ends.tolist())]
 
     if paired:
         assignment = None
@@ -229,7 +227,7 @@ def simulate_ab(
         for si in replayed:
             if si not in ratings:
                 ratings[si] = [float(v) for v in sessions[si].labels(rating_source)]
-            if any(masks[vi][si]):  # clarifications resolve against the oracle
+            if any(masks[vi][spans[si]]):  # clarifications resolve against the oracle
                 sessions[si].labels("oracle")
 
     reports = []
@@ -239,7 +237,7 @@ def simulate_ab(
         total_turns = 0
         for si in replays[vi]:
             session_score, clarified = _replay_session(
-                sessions[si], ratings[si], masks[vi][si], behavior, seed
+                sessions[si], ratings[si], masks[vi][spans[si]], behavior, seed
             )
             total_cus += session_score
             total_clarified += clarified

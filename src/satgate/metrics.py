@@ -22,6 +22,9 @@ __all__ = [
 ]
 
 
+_THRESHOLDS = np.arange(101) / 100.0  # 0.00, 0.01, ..., 1.00, each the double nearest its label
+
+
 class UndefinedMetricError(ValueError):
     """The metric needs both classes present in the labels."""
 
@@ -86,26 +89,25 @@ def accuracy_with_tuned_threshold(scores, labels) -> tuple[float, float]:
     s, y = _scores_labels(scores, labels)
     if len(y) == 0:
         raise ValueError("scores must be non-empty")
-    thresholds = np.arange(101) / 100.0
-    predictions = s[None, :] >= thresholds[:, None]
+    predictions = s[None, :] >= _THRESHOLDS[:, None]
     accuracies = (predictions == (y[None, :] == 1)).mean(axis=1)
     best = int(np.argmax(accuracies))  # argmax takes the smallest index on ties
-    return float(accuracies[best]), float(thresholds[best])
+    return float(accuracies[best]), float(_THRESHOLDS[best])
 
 
-def precision_recall_table(scores, labels, step: float = 0.01) -> list[tuple[float, float, float]]:
-    """(threshold, precision, recall) rows over a fixed grid; precision is NaN
-    when nothing is predicted positive."""
+def precision_recall_table(scores, labels) -> list[tuple[float, float, float]]:
+    """(threshold, precision, recall) rows over the grid that accuracy is tuned
+    on; precision is NaN when nothing is predicted positive."""
     s, y = _scores_labels(scores, labels)
     n_pos = int(y.sum())
     rows = []
-    for t in np.arange(0.0, 1.0 + step / 2, step):
+    for t in _THRESHOLDS.tolist():
         pred = s >= t
         tp = int(np.sum(pred & (y == 1)))
         npred = int(np.sum(pred))
         precision = tp / npred if npred else float("nan")
         recall = tp / n_pos if n_pos else float("nan")
-        rows.append((float(round(t, 10)), precision, recall))
+        rows.append((t, precision, recall))
     return rows
 
 

@@ -20,6 +20,7 @@ prediction-time feature baseline all read its rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 import json
 
 import numpy as np
@@ -266,18 +267,16 @@ def features_matrix(
 
 def weak_label_sessions(
     model: WeakLabelModel, extractor: FeatureExtractor, sessions: list[Session]
-) -> list[np.ndarray]:
-    """Per session, the weak label of every turn, from one corpus-wide
-    feature pass. The logits of each session come from its own row slice, so
-    they are the same bits as labeling the session alone (one
+) -> np.ndarray:
+    """The weak label of every corpus turn, in corpus order, from one
+    corpus-wide feature pass. The logits of each session come from its own
+    row slice, so they are the same bits as labeling the session alone (one
     matrix-vector product over the whole corpus can differ in the last bit);
     the sigmoid is elementwise and runs once."""
     X, _ = features_matrix(sessions, extractor)
-    ends = np.cumsum([len(session.turns) for session in sessions], dtype=np.int64).tolist()
-    bounds = [(end - len(session.turns), end) for session, end in zip(sessions, ends)]
-    logits = [X[start:end] @ model.weights for start, end in bounds]
-    p = _sigmoid(np.concatenate([np.zeros(0), *logits]) + model.bias)
-    return [p[start:end] for start, end in bounds]
+    ends = accumulate(len(session.turns) for session in sessions)
+    logits = [X[end - len(session.turns) : end] @ model.weights for session, end in zip(sessions, ends)]
+    return _sigmoid(np.concatenate([np.zeros(0), *logits]) + model.bias)
 
 
 # --- logistic regression --------------------------------------------------
@@ -412,9 +411,11 @@ def label_corpus(
     model: WeakLabelModel, extractor: FeatureExtractor, sessions: list[Session]
 ) -> list[Session]:
     """Attach a weak label to every turn; oracle labels pass through unchanged."""
+    labels = weak_label_sessions(model, extractor, sessions).tolist()
+    ends = accumulate(len(session.turns) for session in sessions)
     return [
-        session.with_weak_labels(labels.tolist())
-        for session, labels in zip(sessions, weak_label_sessions(model, extractor, sessions))
+        session.with_weak_labels(labels[end - len(session.turns) : end])
+        for session, end in zip(sessions, ends)
     ]
 
 

@@ -158,8 +158,8 @@ class PipelineResult:
     transformer_auc: float
     baseline_auc: float
     weak_accuracy: float
-    transformer_scores: list
-    baseline_scores: list
+    transformer_scores: np.ndarray  # one score per test-session turn, in corpus order
+    baseline_scores: np.ndarray
     elapsed: float
 
 
@@ -207,23 +207,13 @@ def pipeline() -> PipelineResult:
     baseline_scores_flat = weaklabel.weak_label_many(baseline, X[~train_rows])
     baseline_auc = auc(baseline_scores_flat, oracle[~train_rows].astype(int))
 
-    # per-session score lists for the gate simulation (criterion 7)
-    transformer_scores = [np.zeros(len(s.turns)) for s in test_sessions]
-    for value, si, ti in zip(scores, test_ds.session_index, test_ds.turn_index):
-        transformer_scores[si][ti] = value
-    baseline_scores = []
-    pos = 0
-    for s in test_sessions:
-        baseline_scores.append(baseline_scores_flat[pos : pos + len(s.turns)])
-        pos += len(s.turns)
-
     return PipelineResult(
         test_sessions=test_sessions,
         transformer_auc=transformer_auc,
         baseline_auc=baseline_auc,
         weak_accuracy=weak_accuracy,
-        transformer_scores=transformer_scores,
-        baseline_scores=baseline_scores,
+        transformer_scores=scores,
+        baseline_scores=baseline_scores_flat,
         elapsed=time.time() - start,
     )
 
@@ -250,7 +240,7 @@ def test_criterion_7_gate_simulation_ordering(pipeline):
     """Average CUS ordering no-predictor <= feature-baseline <= transformer at
     threshold 0.7 under the default behavior model, for 3 behavior seeds."""
     eps = 1e-6
-    clip = lambda arrs: [np.clip(a, eps, 1 - eps) for a in arrs]
+    clip = lambda scores: np.clip(scores, eps, 1 - eps)
     variants = [
         Variant("no-predictor", None, threshold=0.7),
         Variant("feature-baseline", clip(pipeline.baseline_scores), threshold=0.7),

@@ -138,13 +138,19 @@ def _write_records(path, *turn_objs):
         ("timestamp", True),
         ("asr_confidence", "0.5"),
         ("nlu_confidence", False),
+        ("domain_intent", None),
+        ("domain_intent", ["music-play"]),
+        ("result_item", 5),
+        ("result_item", ["a"]),
     ],
     ids=["string-query", "string-response", "string-slot-value", "bool-timestamp",
-         "string-confidence", "bool-confidence"],
+         "string-confidence", "bool-confidence", "null-domain-intent", "list-domain-intent",
+         "number-result-item", "list-result-item"],
 )
 def test_wrongly_typed_field_is_schema_error_naming_line_and_field(tmp_path, field, value):
-    """A string where a token list belongs is not split into characters, and
-    a boolean or a numeric string is not taken for a number."""
+    """A string where a token list belongs is not split into characters, a
+    boolean or a numeric string is not taken for a number, and a null, number
+    or list is not turned into a string."""
     path = tmp_path / "typed.jsonl"
     _write_records(path, _turn_obj(**{field: value}))
     with pytest.raises(CorpusSchemaError, match=f"line 2: .*{field}") as info:
@@ -173,11 +179,15 @@ def test_wrongly_shaped_turns_are_schema_errors(tmp_path, record):
         ("weak_labels", "0"),
         ("weak_labels", ["0.5"]),
         ("weak_labels", [False]),
+        ("session_id", None),
+        ("session_id", 5),
     ],
     ids=["string-oracle", "bool-oracle", "string-oracle-value", "string-weak",
-         "string-weak-value", "bool-weak"],
+         "string-weak-value", "bool-weak", "null-session-id", "number-session-id"],
 )
 def test_wrongly_typed_labels_are_schema_errors_naming_line_and_field(tmp_path, field, value):
+    """A session-level field of the wrong JSON type, a label array or the
+    session id, fails naming line and field (``field`` overrides the id)."""
     path = tmp_path / "labels.jsonl"
     good = json.dumps({"session_id": "ok", "turns": [_turn_obj()]})
     bad = json.dumps({"session_id": "x", "turns": [_turn_obj()], field: value})

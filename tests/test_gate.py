@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,7 @@ from satgate.synth import CorpusConfig, generate
 
 
 def _scored_variants(sessions, score_fn, name="scored", threshold=0.7):
-    scores = [np.array([score_fn(s, t) for t in range(len(s.turns))]) for s in sessions]
+    scores = np.array([score_fn(s, t) for s in sessions for t in range(len(s.turns))])
     return Variant(name=name, scores=scores, threshold=threshold)
 
 
@@ -27,10 +29,7 @@ def corpus():
 
 
 def oracle_scores(sessions, eps=0.01):
-    return [
-        np.array([eps + (1 - 2 * eps) * v for v in s.oracle_satisfaction])
-        for s in sessions
-    ]
+    return np.array([eps + (1 - 2 * eps) * v for s in sessions for v in s.oracle_satisfaction])
 
 
 # --- gate --------------------------------------------------------------------
@@ -123,10 +122,8 @@ def test_oracle_predictor_with_certain_fix_dominates(corpus):
 
 def test_threshold_monotonicity(corpus):
     rng = np.random.default_rng(0)
-    noisy = [
-        np.clip(np.array(s.oracle_satisfaction, float) * 0.8 + rng.uniform(0.05, 0.15, len(s.turns)), 0.01, 0.99)
-        for s in corpus
-    ]
+    oracle = np.array([v for s in corpus for v in s.oracle_satisfaction], float)
+    noisy = np.clip(oracle * 0.8 + rng.uniform(0.05, 0.15, len(oracle)), 0.01, 0.99)
     rates = []
     for threshold in (0.05, 0.3, 0.5, 0.8, 0.95):
         reports = simulate_ab(
@@ -167,23 +164,42 @@ def test_partition_weights(corpus):
 
 
 def test_scores_alignment_validated(corpus):
-    with pytest.raises(ValueError):
-        simulate_ab(corpus, [Variant("bad", [np.array([0.5])])], seed=0)
+    with pytest.raises(ValueError, match="variant 'bad': .* each of the corpus's"):
+        simulate_ab(corpus, [Variant("bad", np.array([0.5]))], seed=0)
 
 
-@pytest.mark.parametrize("bad", ["zero", "one", "nan", "length", "threshold"])
+@pytest.mark.parametrize(
+    "bad", ["zero", "one", "nan", "length", "threshold", "per-session-list", "2-d"]
+)
 def test_bad_scores_rejected_naming_the_variant(corpus, bad):
     scores = oracle_scores(corpus)
     threshold = 0.7
+    where = "variant 'scored'"
     if bad == "length":
-        scores[3] = scores[3][:-1]
+        scores = scores[:-1]
     elif bad == "threshold":
         threshold = 1.0
+    elif bad == "per-session-list":
+        starts = np.cumsum([len(s.turns) for s in corpus])[:-1]
+        scores = np.split(scores, starts)
+    elif bad == "2-d":
+        scores = scores[:, None]
     else:
-        scores[3][0] = {"zero": 0.0, "one": 1.0, "nan": np.nan}[bad]
+        assert corpus[3].turns
+        scores[sum(len(s.turns) for s in corpus[:3])] = {"zero": 0.0, "one": 1.0, "nan": np.nan}[bad]
+        where += f": session {corpus[3].session_id} has a score"
     variants = [Variant("none", None), Variant("scored", scores, threshold=threshold)]
-    with pytest.raises(ValueError, match="variant 'scored'"):
+    with pytest.raises(ValueError, match=where):
         simulate_ab(corpus, variants, seed=0)
+
+
+def test_bad_score_after_empty_sessions_names_its_session(corpus):
+    empty = [Session(f"empty-{i}", (), oracle_satisfaction=()) for i in range(2)]
+    sessions = [empty[0], corpus[0], empty[1], corpus[1]]
+    scores = oracle_scores(sessions)
+    scores[len(corpus[0].turns)] = 1.0
+    with pytest.raises(ValueError, match=f"session {corpus[1].session_id} has a score"):
+        simulate_ab(sessions, [Variant("scored", scores)], seed=0)
 
 
 def test_reports_sorted_by_cus(corpus):
@@ -216,7 +232,7 @@ def test_weak_rated_replay_needs_oracle_labels_for_clarified_turns(corpus):
 @pytest.fixture(scope="module")
 def noisy_scores(corpus):
     rng = np.random.default_rng(4)
-    return [rng.uniform(0.01, 0.99, len(s.turns)) for s in corpus]
+    return rng.uniform(0.01, 0.99, sum(len(s.turns) for s in corpus))
 
 
 @settings(max_examples=25, deadline=None)
@@ -242,11 +258,11 @@ def test_paired_replay_equals_one_variant_runs_and_per_session_replays(
         alone = simulate_ab(corpus, [variant], behavior, seed=seed, paired=True)
         assert alone == [together[variant.name]]
         total_cus, clarified = 0.0, 0
-        for si, session in enumerate(corpus):
+        for session, end in zip(corpus, accumulate(len(s.turns) for s in corpus)):
             if not session.turns:
                 continue
             clarify = [False] * len(session.turns) if variant.scores is None else [
-                bool(p < variant.threshold) for p in variant.scores[si]
+                bool(p < variant.threshold) for p in variant.scores[end - len(session.turns) : end]
             ]
             ratings = [float(v) for v in session.oracle_satisfaction]
             score, n = _replay_session(session, ratings, clarify, behavior, seed)

@@ -157,10 +157,21 @@ def test_accuracy_matches_grid_oracle(rng):
 
 
 def test_precision_recall_table_shape():
-    rows = precision_recall_table([0.2, 0.8], [0, 1], step=0.25)
-    assert [r[0] for r in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
-    t0 = rows[0]
-    assert t0[1] == 0.5 and t0[2] == 1.0
+    rows = precision_recall_table([0.2, 0.8], [0, 1])
+    assert [r[0] for r in rows] == [k / 100 for k in range(101)]
+    assert rows[0][1:] == (0.5, 1.0)
+    assert rows[50][1:] == (1.0, 1.0)
+    assert np.isnan(rows[100][1]) and rows[100][2] == 0.0
+
+
+def test_score_on_a_grid_threshold_counts_as_positive_there():
+    """The PR table and the accuracy search share one grid, so a score of
+    exactly 0.35 is predicted positive at the 0.35 row of both."""
+    scores, labels = [0.35, 0.349], [1, 0]
+    rows = {t: (precision, recall) for t, precision, recall in precision_recall_table(scores, labels)}
+    assert rows[0.35] == (1.0, 1.0)
+    assert rows[0.36][1] == 0.0
+    assert accuracy_with_tuned_threshold(scores, labels) == (1.0, 0.35)
 
 
 # --- cus -------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from satgate.model import (
 )
 from satgate.model import net
 from satgate.synth import CorpusConfig, generate
+from satgate.weaklabel import FeatureExtractor, features_matrix
 
 from conftest import make_turn
 
@@ -561,6 +562,26 @@ def _row_contents(batch):
     """Per pool row, every per-turn array the encoder reads, as bytes."""
     return [b"|".join(getattr(batch, name)[r].tobytes() for name in _POOL_ARRAYS)
             for r in range(batch.pool_size)]
+
+
+def test_windows_and_feature_rows_list_turns_in_corpus_order(tiny_setup):
+    """Dataset windows and feature rows both follow corpus order (sessions in
+    order, each session's turns in order; an empty session adds nothing), the
+    order in which per-turn scores and labels pass between stages."""
+    sessions, vocab, _ = tiny_setup
+    corpus = [sessions[0], Session("empty", ()), *sessions[1:6], Session("empty-last", ())]
+    positions = [(si, ti) for si, s in enumerate(corpus) for ti in range(len(s.turns))]
+    turns = [turn for s in corpus for turn in s.turns]
+    ds = WindowDataset.from_sessions(corpus, vocab, TINY_CONFIG, "none")
+    X, index = features_matrix(corpus, FeatureExtractor.fit(corpus))
+    assert list(zip(ds.session_index.tolist(), ds.turn_index.tolist())) == positions
+    assert list(map(tuple, index.tolist())) == positions
+    pool = _row_contents(ds.batch)
+    for i, turn in enumerate(turns):
+        own = _row_contents(encode_window([turn], vocab, TINY_CONFIG))[0]
+        assert pool[ds.batch.window_rows[i, -1]] == own
+    assert X[:, 0].tolist() == [t.asr_confidence for t in turns]
+    assert X[:, 13].tolist() == [t.nlu_confidence for t in turns]
 
 
 @pytest.mark.parametrize("microbatch", [1, 7, 1024, None])

@@ -7,6 +7,12 @@ a truly unsatisfied turn resolves successfully with probability ``p_fix``
 annoys the user with probability ``p_annoy`` (question rating 0, else 1).
 Each variant's experience is the average contextual satisfaction across its
 sessions.
+
+The replay works on corpus-order arrays (sessions in order, each session's
+turns in order) with one clarify flag, rating, oracle label and uniform draw
+per turn. A session's draws come from a generator seeded by the replay seed
+and the session id, taken only when a variant that replays the session
+clarifies one of its turns, so every variant sees the same draw for a turn.
 """
 
 from __future__ import annotations
@@ -14,22 +20,21 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .dialog import Session
-from .metrics import cus
 
 __all__ = [
     "Decision",
     "GateDecision",
-    "ClarificationOutcome",
     "BehaviorModel",
     "Variant",
     "VariantReport",
     "gate",
-    "resolve_clarification",
+    "resolve_clarifications",
     "simulate_ab",
 ]
 
@@ -64,18 +69,6 @@ def gate(probability: float, threshold: float) -> GateDecision:
 
 
 @dataclass(frozen=True)
-class ClarificationOutcome:
-    user_satisfied_with_question: int
-    post_clarification_rating: float
-
-    def __post_init__(self):
-        if self.user_satisfied_with_question not in (0, 1):
-            raise ValueError("user_satisfied_with_question must be 0 or 1")
-        if not (0.0 <= self.post_clarification_rating <= 1.0):
-            raise ValueError("post_clarification_rating must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class BehaviorModel:
     p_fix: float = 0.8
     p_annoy: float = 0.5
@@ -87,20 +80,16 @@ class BehaviorModel:
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
 
 
-def resolve_clarification(
-    behavior: BehaviorModel, oracle_satisfied: bool, u: float
-) -> ClarificationOutcome:
-    """Outcome of asking a clarification question, driven by one uniform draw."""
-    if oracle_satisfied:
-        # The candidate response was already right; the question may annoy.
-        return ClarificationOutcome(
-            user_satisfied_with_question=0 if u < behavior.p_annoy else 1,
-            post_clarification_rating=1.0,
-        )
-    return ClarificationOutcome(
-        user_satisfied_with_question=1,
-        post_clarification_rating=1.0 if u < behavior.p_fix else 0.0,
-    )
+def resolve_clarifications(behavior: BehaviorModel, oracle_satisfied, u) -> np.ndarray:
+    """Contextual satisfaction of each clarified turn, each driven by one
+    uniform draw in ``u``. On a truly unsatisfied turn the question is welcome
+    (rating 1) and the answer is fixed (rating 1) when ``u < p_fix``, else
+    stays wrong (0). On a satisfied turn the answer stays right (rating 1) and
+    the question annoys (rating 0) when ``u < p_annoy``. The turn scores the
+    product of the two ratings, as ``metrics.cus`` does, so 1.0 or 0.0."""
+    satisfied = np.asarray(oracle_satisfied, dtype=bool)
+    u = np.asarray(u, dtype=np.float64)
+    return np.where(satisfied, u >= behavior.p_annoy, u < behavior.p_fix).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -154,28 +143,16 @@ def _clarify_mask(variant: Variant, sessions: list[Session], ends: np.ndarray) -
     return scores < variant.threshold
 
 
-def _replay_session(
-    session: Session,
-    ratings: list[float],
-    clarify: list[bool],
-    behavior: BehaviorModel,
-    seed: int,
-) -> tuple[float, int]:
-    """Average per-turn experience and clarification count for one session
-    that clarifies on the turns where ``clarify`` is set."""
-    if not any(clarify):  # the seeded draws only decide clarified turns
-        return float(np.mean(ratings)), 0
-    draws = np.random.default_rng([seed, _session_key(session.session_id)]).random(len(session.turns))
-    contributions = list(ratings)
-    for t, clarified in enumerate(clarify):
-        if clarified:
-            outcome = resolve_clarification(
-                behavior, bool(session.oracle_satisfaction[t]), float(draws[t])
-            )
-            contributions[t] = cus(
-                float(outcome.user_satisfied_with_question), outcome.post_clarification_rating
-            ).contextual
-    return float(np.mean(contributions)), sum(clarify)
+def _session_means(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Mean of each session's slice ``values[start : start + length]``, bit for
+    bit what ``np.mean`` gives on the slice: the sessions of one length are
+    stacked as the rows of a matrix and each row is averaged along itself,
+    which sums in the same order."""
+    means = np.empty(len(starts))
+    for n in np.unique(lengths):
+        rows = np.flatnonzero(lengths == n)
+        means[rows] = values[starts[rows, None] + np.arange(n)].mean(axis=1)
+    return means
 
 
 def simulate_ab(
@@ -196,58 +173,61 @@ def simulate_ab(
     """
     if not variants:
         raise ValueError("at least one variant is required")
-    ends = np.cumsum([len(s.turns) for s in sessions], dtype=np.int64)
-    masks = [_clarify_mask(variant, sessions, ends).tolist() for variant in variants]
-    spans = [slice(end - len(s.turns), end) for s, end in zip(sessions, ends.tolist())]
+    lengths = np.array([len(s.turns) for s in sessions], dtype=np.int64)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    masks = [_clarify_mask(variant, sessions, ends) for variant in variants]
+    keys = [_session_key(s.session_id) for s in sessions]
 
+    # The sessions each variant replays: every non-empty one, or its share.
+    nonempty = lengths > 0
     if paired:
-        assignment = None
+        replays = [nonempty] * len(variants)
     else:
         weights = (
             np.ones(len(variants)) if partition_weights is None else np.asarray(partition_weights, dtype=float)
         )
-        if len(weights) != len(variants) or np.any(weights <= 0):
-            raise ValueError("partition_weights must give a positive weight per variant")
+        if len(weights) != len(variants) or not np.all(np.isfinite(weights) & (weights > 0)):
+            raise ValueError("partition_weights must give a finite positive weight per variant")
         edges = np.cumsum(weights) / weights.sum()
-        assignment = [
-            int(np.searchsorted(edges, _session_key(s.session_id) / float(1 << 48), side="right"))
-            for s in sessions
-        ]
-        assignment = [min(a, len(variants) - 1) for a in assignment]
+        buckets = np.searchsorted(edges, np.array(keys, dtype=np.float64) / float(1 << 48), side="right")
+        assignment = np.minimum(buckets, len(variants) - 1)
+        replays = [nonempty & (assignment == vi) for vi in range(len(variants))]
 
-    # The sessions each variant replays; every label a replay reads is checked
-    # here, before any replay runs.
-    replays = [
-        [si for si, s in enumerate(sessions)
-         if s.turns and (assignment is None or assignment[si] == vi)]
-        for vi in range(len(variants))
-    ]
-    ratings = {}
-    for vi, replayed in enumerate(replays):
-        for si in replayed:
-            if si not in ratings:
-                ratings[si] = [float(v) for v in sessions[si].labels(rating_source)]
-            if any(masks[vi][spans[si]]):  # clarifications resolve against the oracle
-                sessions[si].labels("oracle")
+    # Each variant's clarified turns per session; a session any variant
+    # clarifies in needs its oracle labels and its seeded draws.
+    turn_session = np.repeat(np.arange(len(sessions)), lengths)
+    clarified = [np.bincount(turn_session[mask], minlength=len(sessions)) for mask in masks]
+    drawn = np.logical_or.reduce([replayed & (counts > 0) for replayed, counts in zip(replays, clarified)])
+
+    # Every label a replay reads is checked here, before any replay runs.
+    n_turns = len(turn_session)
+    ratings = np.fromiter(
+        chain.from_iterable(s.labels(rating_source) for s in sessions if s.turns),
+        dtype=np.float64, count=n_turns,
+    )
+    oracle = np.zeros(n_turns, dtype=bool)
+    draws = np.zeros(n_turns)
+    for si in np.flatnonzero(drawn).tolist():
+        span = slice(starts[si], ends[si])
+        oracle[span] = sessions[si].labels("oracle")
+        draws[span] = np.random.default_rng([seed, keys[si]]).random(lengths[si])
+    clarified_cus = resolve_clarifications(behavior, oracle, draws)
 
     reports = []
-    for vi, variant in enumerate(variants):
-        total_cus = 0.0
-        total_clarified = 0
-        total_turns = 0
-        for si in replays[vi]:
-            session_score, clarified = _replay_session(
-                sessions[si], ratings[si], masks[vi][spans[si]], behavior, seed
-            )
-            total_cus += session_score
-            total_clarified += clarified
-            total_turns += len(sessions[si].turns)
-        n_sessions = len(replays[vi])
+    for variant, mask, replayed, counts in zip(variants, masks, replays, clarified):
+        turn_cus = np.where(mask, clarified_cus, ratings)
+        session_cus = _session_means(turn_cus, starts[replayed], lengths[replayed])
+        n_sessions = len(session_cus)
+        total_turns = int(lengths[replayed].sum())
+        # Session means added one at a time in session order, as a running
+        # sum; np.sum would add them pairwise and can differ in the last bit.
+        total_cus = float(np.cumsum(session_cus)[-1]) if n_sessions else 0.0
         reports.append(
             VariantReport(
                 name=variant.name,
                 avg_cus=total_cus / n_sessions if n_sessions else float("nan"),
-                clarification_rate=total_clarified / total_turns if total_turns else float("nan"),
+                clarification_rate=int(counts[replayed].sum()) / total_turns if total_turns else float("nan"),
                 n_sessions=n_sessions,
             )
         )

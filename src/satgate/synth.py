@@ -14,6 +14,7 @@ catalog; user behavior, reaction gaps and confidences are module constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 import numpy as np
 from scipy.special import betaincinv
@@ -317,6 +318,12 @@ class CorpusConfig:
             raise ValueError("turns_per_session range must satisfy 1 <= min <= max")
         if not self.domain_catalog:
             raise ValueError("domain_catalog must be non-empty")
+        for i, entry in enumerate(self.domain_catalog):
+            if not (math.isfinite(entry.weight) and entry.weight > 0):
+                raise ValueError(f"domain_catalog[{i}] weight must be finite and > 0, got {entry.weight!r}")
+            for name in ("templates", "response_templates", "items"):
+                if not getattr(entry, name):
+                    raise ValueError(f"domain_catalog[{i}] {name} must be non-empty")
 
     def to_dict(self) -> dict:
         d = asdict(self)

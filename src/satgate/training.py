@@ -4,6 +4,7 @@ injection for robustness experiments."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
@@ -56,14 +57,12 @@ class TrainConfig:
     label_noise_rate: float = 0.0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
+        for name in ("batch_size", "epochs", "eval_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and non-negative, got {self.learning_rate!r}")
         if not (0.0 <= self.label_noise_rate <= 1.0):
             raise ValueError("label_noise_rate must lie in [0, 1]")
 

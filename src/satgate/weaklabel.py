@@ -376,8 +376,8 @@ def train_weak_labeler(
         raise ValueError(f"features must form an (N, {NUM_FEATURES}) matrix")
     if X.shape[0] != y.shape[0] or X.shape[0] < 1:
         raise ValueError("features and labels must have equal positive length")
-    if reg_strength < 0:
-        raise ValueError("reg_strength must be non-negative")
+    if not (np.isfinite(reg_strength) and reg_strength >= 0):
+        raise ValueError(f"reg_strength must be finite and non-negative, got {reg_strength!r}")
     if np.min(y) == np.max(y):
         raise DegenerateDataError("training labels contain a single class")
 

@@ -1,4 +1,4 @@
-from itertools import accumulate
+import hashlib
 
 import numpy as np
 import pytest
@@ -10,11 +10,12 @@ from satgate.gate import (
     Decision,
     GateDecision,
     Variant,
-    _replay_session,
+    VariantReport,
     gate,
-    resolve_clarification,
+    resolve_clarifications,
     simulate_ab,
 )
+from satgate.metrics import cus
 from satgate.synth import CorpusConfig, generate
 
 
@@ -68,20 +69,18 @@ def test_gate_invariant_holds(p, t):
 
 def test_resolve_clarification_on_error_turn():
     behavior = BehaviorModel(p_fix=0.8, p_annoy=0.5)
-    fixed = resolve_clarification(behavior, oracle_satisfied=False, u=0.5)
-    assert fixed.user_satisfied_with_question == 1
-    assert fixed.post_clarification_rating == 1.0
-    failed = resolve_clarification(behavior, oracle_satisfied=False, u=0.95)
-    assert failed.post_clarification_rating == 0.0
+    fixed, failed = resolve_clarifications(behavior, [False, False], [0.6, 0.95])
+    assert (fixed, failed) == (1.0, 0.0)
+    # a draw at p_fix fails: only strictly smaller draws fix the turn
+    assert resolve_clarifications(behavior, [False], [0.8]).tolist() == [0.0]
 
 
 def test_resolve_clarification_on_satisfied_turn():
     behavior = BehaviorModel(p_fix=0.8, p_annoy=0.5)
-    annoyed = resolve_clarification(behavior, oracle_satisfied=True, u=0.2)
-    assert annoyed.user_satisfied_with_question == 0
-    assert annoyed.post_clarification_rating == 1.0
-    tolerant = resolve_clarification(behavior, oracle_satisfied=True, u=0.9)
-    assert tolerant.user_satisfied_with_question == 1
+    annoyed, tolerated = resolve_clarifications(behavior, [True, True], [0.2, 0.6])
+    assert (annoyed, tolerated) == (0.0, 1.0)
+    # a draw at p_annoy is tolerated: only strictly smaller draws annoy
+    assert resolve_clarifications(behavior, [True], [0.5]).tolist() == [1.0]
 
 
 def test_behavior_model_validation():
@@ -161,6 +160,10 @@ def test_partition_weights(corpus):
     reports = simulate_ab(corpus, variants, seed=0, partition_weights=[70, 10, 10, 10])
     by_name = {r.name: r for r in reports}
     assert by_name["keep"].n_sessions > 0.5 * len(corpus)
+    for bad in ([70, 10, 10], [70, 10, 10, 0], [70, 10, 10, -1],
+                [np.nan, 1, 1, 1], [np.inf, 1, 1, 1], [1, 1, 1, -np.inf]):
+        with pytest.raises(ValueError, match="partition_weights"):
+            simulate_ab(corpus, variants, seed=0, partition_weights=bad)
 
 
 def test_scores_alignment_validated(corpus):
@@ -235,40 +238,110 @@ def noisy_scores(corpus):
     return rng.uniform(0.01, 0.99, sum(len(s.turns) for s in corpus))
 
 
+@pytest.fixture(scope="module")
+def rated_corpus(corpus):
+    """The corpus with float weak labels on every turn, plus two empty sessions."""
+    rng = np.random.default_rng(6)
+    sessions = [s.with_weak_labels(rng.random(len(s.turns))) for s in corpus]
+    sessions.insert(3, Session("empty-0", (), oracle_satisfaction=(), weak_labels=()))
+    sessions.append(Session("empty-1", (), oracle_satisfaction=(), weak_labels=()))
+    return sessions
+
+
+def _reference_replay(sessions, variants, behavior, seed, rating_source, weights=None):
+    """Each variant's report from a turn-by-turn replay in session order. A
+    session goes to the variant its id hash falls on under ``weights``, or to
+    every variant when ``weights`` is None; a clarified turn is resolved by
+    that session's own seeded draw."""
+    totals = {v.name: [0.0, 0, 0, 0] for v in variants}  # CUS, clarified, turns, sessions
+    offset = 0
+    for session in sessions:
+        n = len(session.turns)
+        start, offset = offset, offset + n
+        if not n:
+            continue
+        key = int(hashlib.sha256(session.session_id.encode("utf-8")).hexdigest()[:12], 16)
+        draws = np.random.default_rng([seed, key]).random(n)
+        replaying = variants
+        if weights is not None:
+            edges = np.cumsum(weights) / np.sum(weights)
+            bucket = int(np.searchsorted(edges, key / 2**48, side="right"))
+            replaying = [variants[min(bucket, len(variants) - 1)]]
+        for variant in replaying:
+            contributions = [float(r) for r in session.labels(rating_source)]
+            clarified = 0
+            for t in range(n):
+                if variant.scores is None or not variant.scores[start + t] < variant.threshold:
+                    continue
+                clarified += 1
+                if session.oracle_satisfaction[t]:
+                    question = 0.0 if draws[t] < behavior.p_annoy else 1.0
+                    contributions[t] = cus(question, 1.0).contextual
+                else:
+                    contributions[t] = cus(1.0, 1.0 if draws[t] < behavior.p_fix else 0.0).contextual
+            total = totals[variant.name]
+            total[0] += float(np.mean(contributions))
+            total[1] += clarified
+            total[2] += n
+            total[3] += 1
+    return {
+        name: VariantReport(name, c / k if k else float("nan"), m / t if t else float("nan"), k)
+        for name, (c, m, t, k) in totals.items()
+    }
+
+
+def _replay_variants(noisy_scores, thresholds):
+    return [Variant("none", None)] + [
+        Variant(f"v{i}", noisy_scores, threshold=t) for i, t in enumerate(thresholds)
+    ]
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
     st.integers(0, 2**32 - 1),
     st.floats(0, 1),
     st.floats(0, 1),
+    st.sampled_from(["oracle", "weak"]),
 )
 def test_paired_replay_equals_one_variant_runs_and_per_session_replays(
-    corpus, noisy_scores, thresholds, seed, p_fix, p_annoy
+    rated_corpus, noisy_scores, thresholds, seed, p_fix, p_annoy, rating_source
 ):
     """With ``paired=True`` a variant's report does not depend on the other
-    variants: it equals the variant replayed alone, and the mean of its
-    per-session replays over every non-empty session."""
+    variants: it equals the variant replayed alone and, bit for bit, a
+    turn-by-turn replay of every non-empty session."""
     behavior = BehaviorModel(p_fix=p_fix, p_annoy=p_annoy)
-    variants = [Variant("none", None)] + [
-        Variant(f"v{i}", noisy_scores, threshold=t) for i, t in enumerate(thresholds)
-    ]
-    together = {r.name: r for r in simulate_ab(corpus, variants, behavior, seed=seed, paired=True)}
-    replayed = [s for s in corpus if s.turns]
+    variants = _replay_variants(noisy_scores, thresholds)
+    together = simulate_ab(rated_corpus, variants, behavior, seed=seed,
+                           rating_source=rating_source, paired=True)
+    by_name = {r.name: r for r in together}
+    assert by_name == _reference_replay(rated_corpus, variants, behavior, seed, rating_source)
+    assert all(r.n_sessions == len(rated_corpus) - 2 for r in together)
     for variant in variants:
-        alone = simulate_ab(corpus, [variant], behavior, seed=seed, paired=True)
-        assert alone == [together[variant.name]]
-        total_cus, clarified = 0.0, 0
-        for session, end in zip(corpus, accumulate(len(s.turns) for s in corpus)):
-            if not session.turns:
-                continue
-            clarify = [False] * len(session.turns) if variant.scores is None else [
-                bool(p < variant.threshold) for p in variant.scores[end - len(session.turns) : end]
-            ]
-            ratings = [float(v) for v in session.oracle_satisfaction]
-            score, n = _replay_session(session, ratings, clarify, behavior, seed)
-            total_cus += score
-            clarified += n
-        report = together[variant.name]
-        assert report.n_sessions == len(replayed)
-        assert report.avg_cus == total_cus / len(replayed)
-        assert report.clarification_rate == clarified / sum(len(s.turns) for s in replayed)
+        alone = simulate_ab(rated_corpus, [variant], behavior, seed=seed,
+                            rating_source=rating_source, paired=True)
+        assert alone == [by_name[variant.name]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+    st.floats(0, 1),
+    st.floats(0, 1),
+    st.sampled_from(["oracle", "weak"]),
+    st.booleans(),
+)
+def test_partitioned_replay_equals_per_turn_replay_of_each_share(
+    rated_corpus, noisy_scores, thresholds, seed, p_fix, p_annoy, rating_source, weighted
+):
+    """Partitioned at equal or unequal weights, each variant's report equals,
+    bit for bit, a turn-by-turn replay of the sessions in its share."""
+    behavior = BehaviorModel(p_fix=p_fix, p_annoy=p_annoy)
+    variants = _replay_variants(noisy_scores, thresholds)
+    weights = list(range(1, len(variants) + 1)) if weighted else [1] * len(variants)
+    reports = simulate_ab(rated_corpus, variants, behavior, seed=seed, rating_source=rating_source,
+                          partition_weights=weights if weighted else None)
+    reference = _reference_replay(rated_corpus, variants, behavior, seed, rating_source, weights)
+    assert {r.name: r for r in reports} == reference
+    assert sum(r.n_sessions for r in reports) == len(rated_corpus) - 2

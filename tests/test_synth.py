@@ -1,4 +1,4 @@
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -116,6 +116,18 @@ def test_from_dict_names_the_catalog_entry_missing_a_field(field):
     del catalog[1][field]
     with pytest.raises(ValueError, match=rf"domain_catalog\[1\] lacks required field '{field}'"):
         CorpusConfig.from_dict({"domain_catalog": catalog})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("weight", -5.0), ("weight", 0.0), ("weight", float("nan")), ("weight", float("inf")),
+     ("templates", ()), ("response_templates", ()), ("items", ())],
+)
+def test_validate_names_the_catalog_entry_with_a_bad_field(field, value):
+    catalog = list(CorpusConfig().domain_catalog[:3])
+    catalog[2] = replace(catalog[2], **{field: value})
+    with pytest.raises(ValueError, match=rf"domain_catalog\[2\] {field} must be"):
+        generate(CorpusConfig(num_sessions=5, domain_catalog=tuple(catalog)))
 
 
 def test_catalog_override():

@@ -254,6 +254,14 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(label_noise_rate=1.5)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            TrainConfig(learning_rate=bad)
+    for name in ("batch_size", "epochs", "eval_every"):
+        for bad in (2.5, 2.0, True, "2", 0):
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+                TrainConfig(**{name: bad})
+        assert getattr(TrainConfig(**{name: np.int64(3)}), name) == 3
 
 
 def test_unknown_batch_preset_names_the_known_ones():

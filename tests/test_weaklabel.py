@@ -352,6 +352,14 @@ def test_single_class_raises():
         train_weak_labeler(X, np.ones(10))
 
 
+@pytest.mark.parametrize("reg", [-1.0, float("nan"), float("inf")])
+def test_bad_reg_strength_raises(rng, reg):
+    X = rng.normal(size=(20, NUM_FEATURES))
+    y = np.arange(20) % 2
+    with pytest.raises(ValueError, match="reg_strength must be finite and non-negative"):
+        train_weak_labeler(X, y, reg_strength=reg)
+
+
 def test_monotone_link(rng, small_corpus, small_extractor):
     """Raising a positively weighted feature never lowers the output."""
     X, _ = features_matrix(small_corpus, small_extractor)

@@ -143,6 +143,8 @@ def _cmd_extract_features(args) -> int:
 
 
 def _cmd_train_weak(args) -> int:
+    if args.max_samples is not None and args.max_samples < 1:
+        raise ValueError(f"--max-samples must be at least 1, got {args.max_samples}")
     sessions = read_sessions(args.labeled)
     # Corpus order, as features_matrix's rows.
     y = np.concatenate([np.zeros(0), *(session.labels(args.labels) for session in sessions)])
@@ -333,16 +335,22 @@ def _cmd_simulate(args) -> int:
     spec = _load_config_file(args.variants)
     _check_keys(spec, _SIMULATE_KEYS, "simulate variants spec")
     entries = _variant_entries(spec)
+    settings = {
+        "threshold": float(spec.get("threshold", 0.7)),
+        "p_fix": float(spec.get("p_fix", 0.8)),
+        "p_annoy": float(spec.get("p_annoy", 0.5)),
+        "rating_source": spec.get("rating_source", "oracle"),
+        "partition_weights": spec.get("partition_weights"),
+        "paired": spec.get("paired", False),
+    }
+    if not isinstance(settings["paired"], bool):
+        raise ValueError(f"simulate variants spec: 'paired' must be a JSON boolean, got {settings['paired']!r}")
     sessions = read_sessions(args.corpus)
-    default_threshold = float(spec.get("threshold", 0.7))
-    behavior = gate_mod.BehaviorModel(
-        p_fix=float(spec.get("p_fix", 0.8)), p_annoy=float(spec.get("p_annoy", 0.5))
-    )
+    behavior = gate_mod.BehaviorModel(p_fix=settings["p_fix"], p_annoy=settings["p_annoy"])
     variants = []
     for entry in entries:
         kind = entry.get("kind", "none")
-        name = entry["name"]
-        threshold = float(entry.get("threshold", default_threshold))
+        threshold = float(entry.get("threshold", settings["threshold"]))
         if kind == "none":
             scores = None
         elif kind == "weak":
@@ -350,7 +358,7 @@ def _cmd_simulate(args) -> int:
             scores = weaklabel.weak_label_sessions(model, extractor, sessions)
         else:
             scores, _ = _corpus_scores(entry["ckpt"], sessions)
-        variants.append(gate_mod.Variant(name=name, scores=scores, threshold=threshold))
+        variants.append(gate_mod.Variant(name=entry["name"], scores=scores, threshold=threshold))
     if not variants:
         raise ValueError("variants config names no variants")
 
@@ -359,9 +367,9 @@ def _cmd_simulate(args) -> int:
         variants,
         behavior=behavior,
         seed=args.seed or 0,
-        rating_source=spec.get("rating_source", "oracle"),
-        partition_weights=spec.get("partition_weights"),
-        paired=bool(spec.get("paired", False)),
+        rating_source=settings["rating_source"],
+        partition_weights=settings["partition_weights"],
+        paired=settings["paired"],
     )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -373,15 +381,7 @@ def _cmd_simulate(args) -> int:
     _write_manifest(
         "simulate",
         args.out,
-        {
-            "threshold": default_threshold,
-            "p_fix": behavior.p_fix,
-            "p_annoy": behavior.p_annoy,
-            "rating_source": spec.get("rating_source", "oracle"),
-            "partition_weights": spec.get("partition_weights"),
-            "paired": bool(spec.get("paired", False)),
-            "variants": [v.name for v in variants],
-        },
+        {**settings, "variants": [v.name for v in variants]},
         {"corpus": args.corpus, "variants": args.variants},
         [args.out],
         args.seed or 0,

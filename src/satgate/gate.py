@@ -189,7 +189,11 @@ def simulate_ab(
         )
         if len(weights) != len(variants) or not np.all(np.isfinite(weights) & (weights > 0)):
             raise ValueError("partition_weights must give a finite positive weight per variant")
-        edges = np.cumsum(weights) / weights.sum()
+        with np.errstate(over="ignore"):
+            total = weights.sum()
+        if not np.isfinite(total):
+            raise ValueError(f"partition_weights must have a finite sum, got {float(total)!r}")
+        edges = np.cumsum(weights) / total
         buckets = np.searchsorted(edges, np.array(keys, dtype=np.float64) / float(1 << 48), side="right")
         assignment = np.minimum(buckets, len(variants) - 1)
         replays = [nonempty & (assignment == vi) for vi in range(len(variants))]

@@ -3,9 +3,7 @@ contextual user satisfaction for clarification turns."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.stats import rankdata
@@ -18,7 +16,6 @@ __all__ = [
     "accuracy_with_tuned_threshold",
     "precision_recall_table",
     "cus",
-    "session_cus",
 ]
 
 
@@ -135,32 +132,3 @@ def cus(turn_rating_n: float, turn_rating_next: float) -> CUSRating:
     rating when the question is asked and the rating of the following turn."""
     a, b = float(turn_rating_n), float(turn_rating_next)
     return CUSRating(turn_rating_n=a, turn_rating_next=b, contextual=a * b)
-
-
-def session_cus(ratings: Sequence[float], clarification_flags: Sequence[bool]) -> float:
-    """Average per-turn experience of one session.
-
-    Clarification turns contribute rating_n * rating_{n+1}; other turns
-    contribute their own rating. A clarification on the final logged turn has
-    no following rating and uses 1.0, with a warning.
-    """
-    r = [float(x) for x in ratings]
-    flags = [bool(x) for x in clarification_flags]
-    if len(r) != len(flags) or not r:
-        raise ValueError("ratings and clarification_flags must be non-empty and equal length")
-    if any(not (0.0 <= x <= 1.0) for x in r):
-        raise ValueError("ratings must lie in [0, 1]")
-    dangling = sum(1 for i, f in enumerate(flags) if f and i == len(r) - 1)
-    if dangling:
-        warnings.warn(
-            f"{dangling} clarification turn(s) at session end; using next-rating 1.0",
-            stacklevel=2,
-        )
-    contributions = []
-    for i, (rating, flag) in enumerate(zip(r, flags)):
-        if flag:
-            nxt = r[i + 1] if i + 1 < len(r) else 1.0
-            contributions.append(cus(rating, nxt).contextual)
-        else:
-            contributions.append(rating)
-    return float(np.mean(contributions))

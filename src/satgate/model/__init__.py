@@ -6,7 +6,6 @@ from .data import Batch, WindowDataset, encode_window
 from .net import (
     attend_turns,
     backward,
-    encode_turn,
     flat_views,
     forward,
     forward_batch,
@@ -14,7 +13,6 @@ from .net import (
     loss,
     loss_and_grad_batch,
     predict_scores,
-    zeros_grads,
 )
 from .checkpoint import save_checkpoint, load_checkpoint, CheckpointError
 
@@ -32,7 +30,6 @@ __all__ = [
     "encode_window",
     "attend_turns",
     "backward",
-    "encode_turn",
     "flat_views",
     "forward",
     "forward_batch",
@@ -40,7 +37,6 @@ __all__ = [
     "loss",
     "loss_and_grad_batch",
     "predict_scores",
-    "zeros_grads",
     "save_checkpoint",
     "load_checkpoint",
     "CheckpointError",

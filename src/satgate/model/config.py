@@ -33,7 +33,7 @@ class PredictorConfig:
         for name in ("vocab_size", "max_text_len", "embed_dim", "num_turns",
                      "text_blocks", "struct_blocks", "num_heads", "ffn_dim"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.vocab_size < 4:
             raise ValueError("vocab_size must leave room beyond the reserved ids")

@@ -42,9 +42,7 @@ __all__ = [
     "init_params",
     "param_shapes",
     "flat_views",
-    "zeros_grads",
     "attend_turns",
-    "encode_turn",
     "forward",
     "loss",
     "backward",
@@ -57,6 +55,7 @@ _MASK_OFF = 1e30  # additive logit penalty; exp underflows to exactly 0
 _LOGIT_CLIP = 36.0  # keeps sigmoid strictly inside (0, 1) in float64
 _LN_EPS = 1e-6
 _MAX_BUCKETS = 4  # length buckets the text stack runs per pool
+_MICROBATCH = 256  # training windows whose gradient is computed in one pass
 
 
 # --- primitives -----------------------------------------------------------
@@ -236,11 +235,6 @@ def init_params(config: PredictorConfig, vocab: Vocabulary, seed: int = 0) -> di
         elif not isinstance(init, str):
             params[name][...] = rng.normal(0.0, init, shape)
     return params
-
-
-def zeros_grads(params: dict) -> dict:
-    """Zeroed views, shaped like ``params``, into one fresh flat vector."""
-    return flat_views({k: np.shape(v) for k, v in params.items()})[1]
 
 
 # --- transformer block ----------------------------------------------------
@@ -509,14 +503,11 @@ def _score_windows(params, config: PredictorConfig, E, window_rows, turn_mask, w
     return p, cache
 
 
-def _backward_batch(params, config, batch, cache, d_logit, grads=None):
+def _backward_batch(params, config, batch, cache, d_logit, grads):
     """Gradients of sum_i d_logit[i] * logit_i with respect to every parameter,
-    added into ``grads`` (zeroed arrays shaped like ``params``; fresh ones
-    when None), which is returned."""
+    added into ``grads`` (zeroed arrays shaped like ``params``)."""
     B, T = batch.window_rows.shape
     D = config.embed_dim
-    if grads is None:
-        grads = zeros_grads(params)
     tm = cache["tm"]
 
     d_logit = d_logit * cache["clip_ok"]
@@ -558,7 +549,6 @@ def _backward_batch(params, config, batch, cache, d_logit, grads=None):
     d_E = np.zeros((batch.pool_size, D))
     _scatter_add(d_E, batch.window_rows.ravel(), d_e_real.reshape(B * T, D))
     _encode_pool_backward(params, grads, config, batch, cache["pool"], d_E)
-    return grads
 
 
 def loss(p: float, label: float) -> float:
@@ -573,18 +563,16 @@ def loss(p: float, label: float) -> float:
     return -(y * math.log(p) + (1.0 - y) * math.log(1.0 - p))
 
 
-def loss_and_grad_batch(params, config, batch: Batch, microbatch: int = 256, out=None):
+def loss_and_grad_batch(params, config, batch: Batch, out=None):
     """Mean cross-entropy over the batch and its exact gradient.
 
-    Windows are processed in fixed index order, in chunks, and per-window
-    gradients are summed before the final division, so the result does not
-    depend on the chunk size up to float rounding (the chunking decides the
-    order in which gradients are summed). The gradient is a dict of views
-    into one flat vector laid out as ``flat_views`` lays out ``params``:
-    ``out`` when given (it is overwritten), else a fresh one.
+    Windows are processed in fixed index order, in chunks of ``_MICROBATCH``,
+    and per-window gradients are summed before the final division, so the
+    result does not depend on the chunk size up to float rounding (the
+    chunking decides the order in which gradients are summed). The gradient
+    is a dict of views into one flat vector laid out as ``flat_views`` lays
+    out ``params``: ``out`` when given (it is overwritten), else a fresh one.
     """
-    if microbatch < 1:
-        raise ValueError(f"microbatch must be at least 1, got {microbatch!r}")
     n = len(batch)
     shapes = {k: np.shape(v) for k, v in params.items()}
     total, total_views = flat_views(shapes, out)
@@ -592,8 +580,8 @@ def loss_and_grad_batch(params, config, batch: Batch, microbatch: int = 256, out
     part, part_views = flat_views(shapes)
     loss_sum = 0.0
     p_all = np.zeros(n)
-    for start in range(0, n, microbatch):
-        idx = np.arange(start, min(start + microbatch, n))
+    for start in range(0, n, _MICROBATCH):
+        idx = np.arange(start, min(start + _MICROBATCH, n))
         sub = batch.subset(idx)
         p, cache = forward_batch(params, config, sub, want_cache=True)
         y = sub.labels
@@ -635,14 +623,6 @@ def predict_scores(params, config, batch: Batch, microbatch: int = 1024) -> np.n
 # --- single-window public operations --------------------------------------
 
 
-def encode_turn(params, config, vocab: Vocabulary, turn: DialogueTurn) -> np.ndarray:
-    """Embedding vector of one turn (both per-turn stacks, before turn-order
-    tagging and cross-turn attention)."""
-    batch = encode_window([turn], vocab, config)
-    E, _ = _encode_pool(params, config, batch, want_cache=False)
-    return E[0]
-
-
 def forward(params, config, vocab: Vocabulary, window: list[DialogueTurn]) -> float:
     """Satisfaction probability for the last turn of the window.
 
@@ -657,7 +637,6 @@ def forward(params, config, vocab: Vocabulary, window: list[DialogueTurn]) -> fl
 
 
 def backward(params, config, vocab: Vocabulary, window: list[DialogueTurn], label: float) -> dict:
-    """Exact gradient of loss(forward(window), label) for every parameter."""
+    """Exact gradient of loss(forward(window), label): ``loss_and_grad_batch`` on one window."""
     batch = encode_window(list(window), vocab, config, label=float(label))
-    p, cache = forward_batch(params, config, batch, want_cache=True)
-    return _backward_batch(params, config, batch, cache, p - batch.labels)
+    return loss_and_grad_batch(params, config, batch)[1]

@@ -15,6 +15,7 @@ catalog; user behavior, reaction gaps and confidences are module constants.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 import numpy as np
 from scipy.special import betaincinv
@@ -305,6 +306,10 @@ class CorpusConfig:
     domain_catalog: tuple[DomainSpec, ...] = DEFAULT_CATALOG
 
     def validate(self) -> None:
+        for name, low in (("seed", 0), ("num_sessions", 1), ("turns_min", 1), ("turns_max", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("asr_error_rate", "nlu_error_rate", "user_error_rate"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
@@ -312,18 +317,19 @@ class CorpusConfig:
         total = self.asr_error_rate + self.nlu_error_rate + self.user_error_rate
         if total > 1.0:
             raise ValueError(f"error rates must sum to at most 1, got {total!r}")
-        if self.num_sessions < 1:
-            raise ValueError("num_sessions must be >= 1")
-        if self.turns_min < 1 or self.turns_max < self.turns_min:
-            raise ValueError("turns_per_session range must satisfy 1 <= min <= max")
+        if self.turns_max < self.turns_min:
+            raise ValueError(f"turns_max must be >= turns_min, got {self.turns_max} < {self.turns_min}")
         if not self.domain_catalog:
             raise ValueError("domain_catalog must be non-empty")
         for i, entry in enumerate(self.domain_catalog):
             if not (math.isfinite(entry.weight) and entry.weight > 0):
                 raise ValueError(f"domain_catalog[{i}] weight must be finite and > 0, got {entry.weight!r}")
-            for name in ("templates", "response_templates", "items"):
+            for name in ("templates", "response_templates"):
                 if not getattr(entry, name):
                     raise ValueError(f"domain_catalog[{i}] {name} must be non-empty")
+            # A misrecognized or misparsed turn returns another item of its domain.
+            if len(entry.items) < 2:
+                raise ValueError(f"domain_catalog[{i}] items must be at least 2 entries, got {len(entry.items)}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -35,7 +35,7 @@ __all__ = [
     "WeakLabelModel",
     "DegenerateDataError",
     "train_weak_labeler",
-    "weak_label",
+    "weak_label_many",
     "label_corpus",
     "weak_label_sessions",
     "features_matrix",
@@ -299,6 +299,10 @@ class WeakLabelModel:
             raise ValueError("model parameters must be finite")
 
 
+_NEWTON_TOL = 1e-8  # fit_logistic stops once every gradient coordinate is below it
+_NEWTON_MAX_ITER = 200
+
+
 def _sigmoid(z):
     z = np.clip(z, -36.0, 36.0)
     return 1.0 / (1.0 + np.exp(-z))
@@ -320,8 +324,6 @@ def fit_logistic(
     y: np.ndarray,
     reg: float = 1.0,
     init: np.ndarray | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 200,
 ) -> tuple[np.ndarray, float, list[float]]:
     """Newton's method with backtracking on the convex penalized objective.
 
@@ -333,8 +335,8 @@ def fit_logistic(
     theta = np.zeros(d + 1) if init is None else np.asarray(init, dtype=np.float64).copy()
     loss, grad, p = _nll_and_grad(Xa, y, theta, reg)
     trace = [loss]
-    for _ in range(max_iter):
-        if np.max(np.abs(grad)) < tol:
+    for _ in range(_NEWTON_MAX_ITER):
+        if np.max(np.abs(grad)) < _NEWTON_TOL:
             break
         w_diag = p * (1.0 - p)
         H = (Xa * w_diag[:, None]).T @ Xa
@@ -362,7 +364,6 @@ def train_weak_labeler(
     labels,
     reg_strength: float = 1.0,
     feature_indices: tuple[int, ...] | None = None,
-    init: np.ndarray | None = None,
 ) -> WeakLabelModel:
     """Fit the logistic weak labeler on z-scored features.
 
@@ -388,7 +389,7 @@ def train_weak_labeler(
     std = np.where(std < 1e-12, 1.0, std)
     Z = (Xs - mean) / std
 
-    w_std, b_std, _ = fit_logistic(Z, y, reg=reg_strength, init=init)
+    w_std, b_std, _ = fit_logistic(Z, y, reg=reg_strength)
 
     # Fold the standardization into the weights so the model acts on raw features.
     weights = np.zeros(NUM_FEATURES)
@@ -397,13 +398,8 @@ def train_weak_labeler(
     return WeakLabelModel(weights=weights, bias=bias)
 
 
-def weak_label(model: WeakLabelModel, features) -> float:
-    """Posterior probability that the user was satisfied with the turn whose
-    21 features are given."""
-    return float(_sigmoid(model.weights @ np.asarray(features, dtype=np.float64) + model.bias))
-
-
 def weak_label_many(model: WeakLabelModel, X: np.ndarray) -> np.ndarray:
+    """Satisfaction posterior of each row of an (N, 21) feature matrix."""
     return _sigmoid(X @ model.weights + model.bias)
 
 

@@ -179,6 +179,52 @@ def test_train_weak_rejects_corpus_without_the_labels(workdir, corpus_path, labe
     assert f"satgate: error: ValueError: session {unlabeled} has no {labels} labels" in err
 
 
+@pytest.mark.parametrize("max_samples", ["0", "-5"])
+def test_train_weak_rejects_max_samples_below_one(workdir, corpus_path, max_samples, capsys):
+    out = workdir / "few-samples.json"
+    code = dispatch(["train-weak", "--labeled", str(corpus_path), "--out", str(out),
+                     "--max-samples", max_samples])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"satgate: error: ValueError: --max-samples must be at least 1, got {max_samples}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("paired", [True, False])
+def test_simulate_replay_and_manifest_read_the_same_paired(workdir, labeled_path, paired):
+    """Paired, each variant replays all 60 sessions; split, they share them."""
+    variants = workdir / "paired.json"
+    variants.write_text(json.dumps({"paired": paired, "variants": [{"name": "a"}, {"name": "b"}]}))
+    out = workdir / "paired.csv"
+    code = dispatch(["simulate", "--corpus", str(labeled_path), "--variants", str(variants),
+                     "--out", str(out)])
+    assert code == 0
+    with open(out) as fh:
+        counts = [int(row["n_sessions"]) for row in csv.DictReader(fh)]
+    if paired:
+        assert counts == [60, 60]
+    else:
+        assert sum(counts) == 60 and min(counts) > 0
+    manifest = json.loads((workdir / "paired.csv.manifest.json").read_text())
+    assert manifest["config"]["paired"] is paired
+
+
+@pytest.mark.parametrize("paired", ["false", 0, None])
+def test_simulate_rejects_paired_that_is_not_a_json_boolean(workdir, labeled_path, capsys, paired):
+    variants = workdir / "bad-paired.json"
+    variants.write_text(json.dumps({"paired": paired, "variants": [{"name": "a"}]}))
+    out = workdir / "bad-paired.csv"
+    code = dispatch(["simulate", "--corpus", str(labeled_path), "--variants", str(variants),
+                     "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "satgate: error: ValueError: simulate variants spec: 'paired' must be a JSON boolean, "
+        f"got {paired!r}\n"
+    )
+    assert not out.exists()
+
+
 def test_simulate_report(workdir, ckpt_path, weak_model_path, labeled_path):
     variants = workdir / "variants.json"
     variants.write_text(json.dumps({

@@ -161,7 +161,8 @@ def test_partition_weights(corpus):
     by_name = {r.name: r for r in reports}
     assert by_name["keep"].n_sessions > 0.5 * len(corpus)
     for bad in ([70, 10, 10], [70, 10, 10, 0], [70, 10, 10, -1],
-                [np.nan, 1, 1, 1], [np.inf, 1, 1, 1], [1, 1, 1, -np.inf]):
+                [np.nan, 1, 1, 1], [np.inf, 1, 1, 1], [1, 1, 1, -np.inf],
+                [1e308, 1e308, 1e308, 1e308]):  # each weight finite, their sum not
         with pytest.raises(ValueError, match="partition_weights"):
             simulate_ab(corpus, variants, seed=0, partition_weights=bad)
 

@@ -10,7 +10,6 @@ from satgate.metrics import (
     cla,
     cus,
     precision_recall_table,
-    session_cus,
 )
 
 
@@ -215,30 +214,3 @@ def test_cus_monotone(a, b, c):
     lo, hi = sorted((b, c))
     assert cus(a, lo).contextual <= cus(a, hi).contextual + 1e-15
 
-
-# --- session-level cus ------------------------------------------------------------
-
-
-def test_session_cus_no_clarifications_is_mean():
-    ratings = [0.2, 0.4, 0.9]
-    assert session_cus(ratings, [False] * 3) == pytest.approx(np.mean(ratings))
-
-
-def test_session_cus_worked_example():
-    # turn 2 clarifies: contributions (0.9, 0.8*0.5, 0.5)
-    value = session_cus([0.9, 0.8, 0.5], [False, True, False])
-    assert value == pytest.approx(np.mean([0.9, 0.4, 0.5]))
-
-
-def test_session_cus_single_clarified_turn_warns():
-    with pytest.warns(UserWarning, match="session end"):
-        assert session_cus([1.0], [True]) == 1.0
-
-
-def test_session_cus_validation():
-    with pytest.raises(ValueError):
-        session_cus([], [])
-    with pytest.raises(ValueError):
-        session_cus([0.5], [True, False])
-    with pytest.raises(ValueError):
-        session_cus([1.4], [False])

@@ -21,7 +21,6 @@ from satgate.model import (
     WindowDataset,
     attend_turns,
     backward,
-    encode_turn,
     encode_window,
     forward,
     forward_batch,
@@ -125,14 +124,20 @@ def test_forward_applies_the_allocator_policy(fake_mallopt, tiny_setup):
     assert fake_mallopt == [(-3, 32 << 20), (-1, 256 << 20)]
 
 
-# --- encode_turn -------------------------------------------------------------
+# --- per-turn encoding ---------------------------------------------------------
+
+
+def _encode_turn(params, config, vocab, turn):
+    """The turn's embedding: both per-turn stacks, run on a one-turn window."""
+    E, _ = net._encode_pool(params, config, encode_window([turn], vocab, config), want_cache=False)
+    return E[0]
 
 
 def test_encode_turn_deterministic(tiny_setup):
     _, vocab, params = tiny_setup
     turn = make_turn()
-    e1 = encode_turn(params, TINY_CONFIG, vocab, turn)
-    e2 = encode_turn(params, TINY_CONFIG, vocab, turn)
+    e1 = _encode_turn(params, TINY_CONFIG, vocab, turn)
+    e2 = _encode_turn(params, TINY_CONFIG, vocab, turn)
     assert np.array_equal(e1, e2)
     assert e1.shape == (TINY_CONFIG.embed_dim,)
     assert np.all(np.isfinite(e1))
@@ -245,7 +250,7 @@ def test_single_token_block_matches_straight_line_recomputation():
     struct_out = block("struct0.", struct_in, 4)
     expected = struct_out.mean(axis=0)
 
-    np.testing.assert_allclose(encode_turn(params, config, vocab, turn), expected, atol=1e-12)
+    np.testing.assert_allclose(_encode_turn(params, config, vocab, turn), expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("num_heads", [1, 2])
@@ -267,7 +272,7 @@ def test_summary_only_block_equals_slot_zero_of_full_block(num_heads):
     def run(summary_only):
         out, cache = net._block_forward(params, "text0.", x, key_mask, num_heads,
                                         summary_only=summary_only)
-        grads = net.zeros_grads(params)
+        grads = net.flat_views({k: v.shape for k, v in params.items()})[1]
         d_x = net._block_backward(params, grads, "text0.", dy[:, : out.shape[1]], cache,
                                   num_heads)
         return out, d_x, {k: g for k, g in grads.items() if k.startswith("text0.")}
@@ -313,7 +318,7 @@ def test_cross_turn_attention_and_head_match_straight_line_recomputation(tiny_se
         k: v + rng.normal(0.0, 0.3, v.shape) for k, v in init_params(config, vocab, seed=3).items()
     }
     turns = next(s for s in sessions if len(s.turns) >= 3).turns[:3]
-    E = [encode_turn(params, config, vocab, t) for t in turns]
+    E = [_encode_turn(params, config, vocab, t) for t in turns]
 
     def linear(name, x):
         return x @ params[name + "_W"] + params[name + "_b"]
@@ -400,6 +405,9 @@ def test_config_validation():
         PredictorConfig(embed_dim=10, num_heads=4)
     with pytest.raises(ValueError):
         PredictorConfig(text_blocks=0)
+    for field, value in [("num_turns", True), ("embed_dim", 40.0), ("ffn_dim", "80")]:
+        with pytest.raises(ValueError, match=f"^{field} must be a positive integer"):
+            PredictorConfig(**{field: value})
 
 
 def test_lipschitz_smoke(tiny_setup):
@@ -678,23 +686,17 @@ def test_predict_scores_rejects_microbatch_below_one(repeated_setup):
         predict_scores(params, TINY_CONFIG, batch, microbatch=0)
 
 
-@pytest.mark.parametrize("microbatch", [0, -3])
-def test_loss_and_grad_batch_rejects_microbatch_below_one(repeated_setup, microbatch):
-    batch, params = repeated_setup
-    with pytest.raises(ValueError, match=f"microbatch must be at least 1, got {microbatch}"):
-        net.loss_and_grad_batch(params, TINY_CONFIG, batch, microbatch=microbatch)
-
-
-def test_loss_and_grad_batch_fills_the_given_flat_buffer(repeated_setup):
+def test_loss_and_grad_batch_fills_the_given_flat_buffer(repeated_setup, monkeypatch):
     """With ``out`` the gradient lands in that vector, overwriting what it
     held, and equals the gradient of a call without it bit for bit, with one
     chunk and with several."""
     batch, params = repeated_setup
     size = sum(v.size for v in params.values())
     for microbatch in (256, 3):
-        _, want, _ = net.loss_and_grad_batch(params, TINY_CONFIG, batch, microbatch)
+        monkeypatch.setattr(net, "_MICROBATCH", microbatch)
+        _, want, _ = net.loss_and_grad_batch(params, TINY_CONFIG, batch)
         out = np.full(size, 7.0)
-        _, got, _ = net.loss_and_grad_batch(params, TINY_CONFIG, batch, microbatch, out=out)
+        _, got, _ = net.loss_and_grad_batch(params, TINY_CONFIG, batch, out=out)
         assert list(got) == list(params)
         for name in params:
             assert got[name].base is out
@@ -751,8 +753,9 @@ def _assert_bucketed_equals_full_width(params, config, vocab, batch, sessions, m
                    for s in sessions for i in range(len(s.turns))]
         return (predict_scores(params, config, batch),
                 np.array([forward(params, config, vocab, list(w)) for w in windows]),
-                net.loss_and_grad_batch(params, config, batch, microbatch=64))
+                net.loss_and_grad_batch(params, config, batch))
 
+    monkeypatch.setattr(net, "_MICROBATCH", 64)
     got = run()
     with monkeypatch.context() as m:
         m.setattr(net, "_length_buckets", _one_full_width_bucket)

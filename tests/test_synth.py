@@ -103,6 +103,10 @@ def test_config_validation():
         CorpusConfig(domain_catalog=()).validate()
     with pytest.raises(ValueError):
         generate(CorpusConfig(num_sessions=0))
+    for field, value in [("seed", True), ("seed", -1), ("num_sessions", 10.0),
+                         ("turns_min", "2"), ("turns_max", False)]:
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            CorpusConfig(**{field: value}).validate()
 
 
 def test_config_roundtrip():
@@ -121,7 +125,7 @@ def test_from_dict_names_the_catalog_entry_missing_a_field(field):
 @pytest.mark.parametrize(
     "field, value",
     [("weight", -5.0), ("weight", 0.0), ("weight", float("nan")), ("weight", float("inf")),
-     ("templates", ()), ("response_templates", ()), ("items", ())],
+     ("templates", ()), ("response_templates", ()), ("items", ()), ("items", ("solo",))],
 )
 def test_validate_names_the_catalog_entry_with_a_bad_field(field, value):
     catalog = list(CorpusConfig().domain_catalog[:3])

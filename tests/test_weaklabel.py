@@ -23,7 +23,6 @@ from satgate.weaklabel import (
     load_weak_model,
     save_weak_model,
     train_weak_labeler,
-    weak_label,
     weak_label_many,
     weak_label_sessions,
 )
@@ -271,14 +270,19 @@ def test_extractor_roundtrip(small_extractor):
 # --- logistic model --------------------------------------------------------
 
 
+def _label_of_row(model, features):
+    """The weak label of one turn's 21 features, as a one-row matrix."""
+    return float(weak_label_many(model, np.asarray(features, dtype=np.float64)[None, :])[0])
+
+
 def test_zero_model_predicts_half():
     model = WeakLabelModel(weights=np.zeros(NUM_FEATURES), bias=0.0)
-    assert weak_label(model, np.zeros(NUM_FEATURES)) == 0.5
+    assert _label_of_row(model, np.zeros(NUM_FEATURES)) == 0.5
 
 
 def test_large_bias_saturates():
     model = WeakLabelModel(weights=np.zeros(NUM_FEATURES), bias=20.0)
-    assert weak_label(model, np.zeros(NUM_FEATURES)) > 0.999
+    assert _label_of_row(model, np.zeros(NUM_FEATURES)) > 0.999
 
 
 def test_weak_label_matches_scalar_recomputation(rng):
@@ -290,7 +294,7 @@ def test_weak_label_matches_scalar_recomputation(rng):
     for w, v in zip(weights, values):
         dot += w * v
     expected = 1.0 / (1.0 + math.exp(-dot))
-    assert abs(weak_label(model, values) - expected) < 1e-12
+    assert abs(_label_of_row(model, values) - expected) < 1e-12
 
 
 def _separable_toy_set(rng):
@@ -324,7 +328,7 @@ def test_separable_toy_set_reaches_perfect_accuracy(rng):
             break
     assert found, "toy set is not linearly separable"
     model = train_weak_labeler(X, labels, reg_strength=1e-6)
-    preds = np.array([weak_label(model, x) for x in X])
+    preds = weak_label_many(model, X)
     assert np.all((preds >= 0.5) == (labels == 1))
 
 
@@ -368,11 +372,11 @@ def test_monotone_link(rng, small_corpus, small_extractor):
     positive = [i for i in range(NUM_FEATURES) if model.weights[i] > 0]
     assert positive
     fv = X[0].copy()
-    base = weak_label(model, fv)
+    base = _label_of_row(model, fv)
     for i in positive[:5]:
         bumped = fv.copy()
         bumped[i] += 1.0
-        assert weak_label(model, bumped) >= base
+        assert _label_of_row(model, bumped) >= base
 
 
 def test_label_corpus(small_corpus, small_extractor):
@@ -430,7 +434,7 @@ def test_model_file_roundtrip(tmp_path, small_corpus, small_extractor):
     assert back_model.bias == model.bias
     assert back_extractor.domain_popularity == small_extractor.domain_popularity
     fv = X[3]
-    assert weak_label(back_model, fv) == weak_label(model, fv)
+    assert _label_of_row(back_model, fv) == _label_of_row(model, fv)
 
 
 @pytest.mark.parametrize("version", [1, 2])
@@ -448,5 +452,5 @@ def test_model_file_of_older_format_rejected(tmp_path, small_extractor, version)
 @given(st.floats(0.01, 0.99), st.floats(-3, 3))
 def test_weak_label_strictly_inside_unit_interval(value, w):
     model = WeakLabelModel(weights=np.full(NUM_FEATURES, w), bias=0.0)
-    p = weak_label(model, np.full(NUM_FEATURES, value))
+    p = _label_of_row(model, np.full(NUM_FEATURES, value))
     assert 0.0 < p < 1.0

@@ -7,11 +7,17 @@ aggregate slot ahead of the text collects the summary) and a structured stack
 attends over {domain-intent, slots, result item, text summary}. Only the
 summary leaves the text stack, so its last block computes keys and values
 for every position but everything past them for the aggregate slot alone;
-the other blocks keep their per-position work. The text stack runs per
-length bucket: pool rows are grouped by real text length into at most four
-buckets, cut at the pool's length quartiles, and each bucket is trimmed to
-its longest row, so trailing padding is never computed (a masked key gets a
-softmax weight of exactly 0, and no output reads a padded query). Turn
+the other blocks keep their per-position work. A per-position linear
+layer with a large weight (the deployed preset's) runs as one 2-D product
+over all positions of the pool rows it is given, so a pass through a block
+reads its weights once. The text stack runs per length bucket: pool rows
+are grouped by real text length into at most four buckets, cut at the
+pool's length quartiles, and neighbouring buckets are merged while the
+padding a merge adds costs less than another pass through the text blocks;
+each bucket is trimmed to its longest row, so the padding past it is never
+computed (a masked key gets a softmax weight of exactly 0, and no output
+reads a padded query). A training pool keeps its quartile buckets; a gate
+decision's few rows mostly run as one. Turn
 embeddings, offset-tagged by distance from the current turn, feed an
 attention of the current turn over its predecessors; each turn's embedding
 concatenated with that attention output passes through a shared
@@ -55,7 +61,22 @@ _MASK_OFF = 1e30  # additive logit penalty; exp underflows to exactly 0
 _LOGIT_CLIP = 36.0  # keeps sigmoid strictly inside (0, 1) in float64
 _LN_EPS = 1e-6
 _MAX_BUCKETS = 4  # length buckets the text stack runs per pool
+# One more pass through the text stack costs about as much time as computing
+# _PASS_FIXED + _PASS_SCALE / D**2 more positions (``_length_buckets``): a
+# position's work grows as D**2 and a pass's per-call overhead does not.
+# Text-stack timings on a 2-core x86 box, OpenBLAS at 1 thread, put a pass at
+# ~25 positions at D = 240, 16-87 at D = 40 and several hundred at D = 16; the
+# fit (16.5, 35 and 133) stays at or below them, so a merge seldom costs more
+# than the pass it saves, and a desk training pool's ~60-row quartile groups
+# stay apart.
+_PASS_FIXED = 16.0
+_PASS_SCALE = 30000.0
 _MICROBATCH = 256  # training windows whose gradient is computed in one pass
+# Weight entries from which a per-position linear layer runs as one 2-D
+# product (``_positionwise``): between the desk preset's 3,200, where a
+# training call ran ~2% slower in the 2-D form, and 8,192, where the 2-D
+# form won forward and backward.
+_FLAT_MIN_WEIGHT = 1 << 12
 
 
 # --- primitives -----------------------------------------------------------
@@ -240,6 +261,24 @@ def init_params(config: PredictorConfig, vocab: Vocabulary, seed: int = 0) -> di
 # --- transformer block ----------------------------------------------------
 
 
+def _positionwise(m, W):
+    """``m @ W`` for an (N, L, K) operand: one linear layer at every position.
+
+    With L > 1 and a weight of at least ``_FLAT_MIN_WEIGHT`` entries it runs
+    as one 2-D product over all N L positions: numpy's stacked product runs
+    a GEMM per row and repacks W for each, so a small pool would pay for a
+    large weight N times over; a small weight is cheap to repack. With
+    L = 1 (the summary-only block's slot-0 layers) it stays per row: a
+    one-row 2-D product takes BLAS's gemv path, whose bits differ from a
+    GEMM's, and a row's bits must not depend on how many rows share its
+    pool. Above one row, a GEMM row's bits do not depend on the row count.
+    """
+    N, L, K = m.shape
+    if L == 1 or W.size < _FLAT_MIN_WEIGHT:
+        return m @ W
+    return (m.reshape(N * L, K) @ W).reshape(N, L, W.shape[1])
+
+
 def _block_forward(params, prefix, x, key_mask, num_heads, summary_only=False):
     """Post-norm block: x -> LN(x + MHA(x)) -> LN(. + FFN(.)).
 
@@ -258,18 +297,18 @@ def _block_forward(params, prefix, x, key_mask, num_heads, summary_only=False):
         return m.reshape(N, -1, H, hd).transpose(0, 2, 1, 3)
 
     Wkv = np.concatenate([params[prefix + "Wk"], params[prefix + "Wv"]], axis=1)
-    kv = x @ Wkv + np.concatenate([params[prefix + "bk"], params[prefix + "bv"]])
-    q = heads(xq @ params[prefix + "Wq"] + params[prefix + "bq"])
+    kv = _positionwise(x, Wkv) + np.concatenate([params[prefix + "bk"], params[prefix + "bv"]])
+    q = heads(_positionwise(xq, params[prefix + "Wq"]) + params[prefix + "bq"])
     k = heads(kv[..., :D])
     v = heads(kv[..., D:])
     mask = None if key_mask is None else key_mask[:, None, :]
     out, A = _attend(q, k, v, mask, hd)
     ctx = out.transpose(0, 2, 1, 3).reshape(xq.shape)
-    attn = ctx @ params[prefix + "Wo"] + params[prefix + "bo"]
+    attn = _positionwise(ctx, params[prefix + "Wo"]) + params[prefix + "bo"]
 
     x1, ln1 = _ln_forward(xq + attn, params[prefix + "ln1_g"], params[prefix + "ln1_b"])
-    gu = _act(x1 @ params[prefix + "ffn1_W"] + params[prefix + "ffn1_b"])
-    f = gu @ params[prefix + "ffn2_W"] + params[prefix + "ffn2_b"]
+    gu = _act(_positionwise(x1, params[prefix + "ffn1_W"]) + params[prefix + "ffn1_b"])
+    f = _positionwise(gu, params[prefix + "ffn2_W"]) + params[prefix + "ffn2_b"]
     x2, ln2 = _ln_forward(x1 + f, params[prefix + "ln2_g"], params[prefix + "ln2_b"])
 
     cache = {"x": x, "q": q, "k": k, "v": v, "A": A, "ctx": ctx, "Wkv": Wkv,
@@ -294,10 +333,10 @@ def _block_backward(params, grads, prefix, dy, cache, num_heads):
     d_f = dres2
     grads[prefix + "ffn2_W"] += gu.reshape(-1, gu.shape[-1]).T @ d_f.reshape(-1, D)
     grads[prefix + "ffn2_b"] += d_f.sum(axis=(0, 1))
-    d_u = (d_f @ params[prefix + "ffn2_W"].T) * _act_grad_from_out(gu)
+    d_u = _positionwise(d_f, params[prefix + "ffn2_W"].T) * _act_grad_from_out(gu)
     grads[prefix + "ffn1_W"] += x1.reshape(-1, D).T @ d_u.reshape(-1, d_u.shape[-1])
     grads[prefix + "ffn1_b"] += d_u.sum(axis=(0, 1))
-    d_x1 = dres2 + d_u @ params[prefix + "ffn1_W"].T
+    d_x1 = dres2 + _positionwise(d_u, params[prefix + "ffn1_W"].T)
 
     dres1, dg, db = _ln_backward(d_x1, params[prefix + "ln1_g"], cache["ln1"])
     grads[prefix + "ln1_g"] += dg
@@ -306,7 +345,8 @@ def _block_backward(params, grads, prefix, dy, cache, num_heads):
     d_attn = dres1
     grads[prefix + "Wo"] += ctx.reshape(-1, D).T @ d_attn.reshape(-1, D)
     grads[prefix + "bo"] += d_attn.sum(axis=(0, 1))
-    d_ctx = (d_attn @ params[prefix + "Wo"].T).reshape(N, Lq, H, hd).transpose(0, 2, 1, 3)
+    d_ctx = _positionwise(d_attn, params[prefix + "Wo"].T)
+    d_ctx = d_ctx.reshape(N, Lq, H, hd).transpose(0, 2, 1, 3)
 
     d_q, d_k, d_v = _attend_backward(d_ctx, q, k, v, A, hd)
 
@@ -322,20 +362,27 @@ def _block_backward(params, grads, prefix, dy, cache, num_heads):
     for i, n in enumerate("kv"):
         grads[prefix + "W" + n] += gW[:, i * D : (i + 1) * D]
         grads[prefix + "b" + n] += gb[i * D : (i + 1) * D]
-    d_x = d_kv @ cache["Wkv"].T
-    d_x[:, :Lq] += dres1 + d_q @ params[prefix + "Wq"].T
+    d_x = _positionwise(d_kv, cache["Wkv"].T)
+    d_x[:, :Lq] += dres1 + _positionwise(d_q, params[prefix + "Wq"].T)
     return d_x
 
 
 # --- per-turn encoding over the pool ---------------------------------------
 
 
-def _length_buckets(text_mask):
+def _length_buckets(text_mask, pass_cost):
     """Pool rows grouped by text length into at most ``_MAX_BUCKETS`` groups,
-    cut at the pool's length quartiles, as (rows, width) pairs in ascending
-    width. Each cut is the row length at or above its quartile, so each
-    width is the longest row of its group, and a pool of a few rows (one
-    gate decision) gets few groups: every group re-reads the block weights.
+    as (rows, width) pairs in ascending width; each width is the longest row
+    of its group.
+
+    The groups start cut at the pool's length quartiles, each cut the row
+    length at or above its quartile. Every group is one more pass through
+    the text blocks, which costs ``pass_cost`` positions' worth of time
+    (each pass re-reads every block's weights), so the neighbouring pair
+    whose merge adds the fewest padded positions is merged for as long as
+    that padding costs less than a pass. A gate decision's few rows then
+    mostly run as one group, while a training pool's quartile groups, each
+    a quarter of the pool, stay apart.
 
     A row's length is one past its last real position (the aggregate slot
     and the text form a prefix), so trimming a row to any width at or above
@@ -354,8 +401,17 @@ def _length_buckets(text_mask):
     # this runs once per pool, and a gate decision's pool is a few rows.
     cuts = sorted({int(sorted_lengths[-(-k * (n - 1) // _MAX_BUCKETS)])
                    for k in range(1, _MAX_BUCKETS + 1)})
-    ends = np.searchsorted(sorted_lengths, cuts, side="right").tolist()
-    return [(order[s:e], w) for s, e, w in zip([0] + ends[:-1], ends, cuts)]
+    # Group i is order[bounds[i]:bounds[i + 1]], of width cuts[i]; merging it
+    # into group i + 1 pads each of its rows to the wider width.
+    bounds = [0] + np.searchsorted(sorted_lengths, cuts, side="right").tolist()
+    while len(cuts) > 1:
+        padding = [(bounds[i + 1] - bounds[i]) * (cuts[i + 1] - cuts[i])
+                   for i in range(len(cuts) - 1)]
+        i = padding.index(min(padding))
+        if padding[i] >= pass_cost:
+            break
+        del cuts[i], bounds[i + 1]
+    return [(order[s:e], w) for s, e, w in zip(bounds[:-1], bounds[1:], cuts)]
 
 
 def _encode_pool(params, config: PredictorConfig, batch: Batch, want_cache: bool):
@@ -371,7 +427,7 @@ def _encode_pool(params, config: PredictorConfig, batch: Batch, want_cache: bool
     tok = params["tok_emb"]
 
     summary = np.empty((batch.pool_size, config.embed_dim))
-    buckets = _length_buckets(batch.text_mask)
+    buckets = _length_buckets(batch.text_mask, _PASS_FIXED + _PASS_SCALE / config.embed_dim**2)
     text_caches = []  # bucket-major: text_blocks caches per bucket
     for rows, width in buckets:
         x = tok[batch.text_ids[rows, :width]] + params["pos_emb"][None, :width, :]

@@ -312,8 +312,9 @@ class CorpusConfig:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("asr_error_rate", "nlu_error_rate", "user_error_rate"):
             value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and 0.0 <= value <= 1.0):
+                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
         total = self.asr_error_rate + self.nlu_error_rate + self.user_error_rate
         if total > 1.0:
             raise ValueError(f"error rates must sum to at most 1, got {total!r}")

@@ -530,7 +530,7 @@ def test_backward_matches_finite_differences_two_text_blocks(tiny_setup):
     )
 
 
-def test_backward_matches_finite_differences_across_length_buckets():
+def test_backward_matches_finite_differences_across_length_buckets(quartile_cuts):
     """Spot check at ``text_blocks=2`` on a window whose four turns fall in
     three length buckets, with every ``pos_emb`` entry past the shortest
     bucket's width: those rows get their gradient from the longer buckets
@@ -540,7 +540,7 @@ def test_backward_matches_finite_differences_across_length_buckets():
               enumerate(["play", "play the", "play the song", "play the song show me love"])]
     vocab = Vocabulary.build([Session("s", tuple(window))], config.vocab_size)
     params = init_params(config, vocab, seed=13)
-    buckets = net._length_buckets(encode_window(window, vocab, config).text_mask)
+    buckets = net._length_buckets(encode_window(window, vocab, config).text_mask, 0.0)
     assert [width for _, width in buckets] == [4, 5, 7]
     D = config.embed_dim
     entries = [("pos_emb", r * D + c) for r in range(4, 7) for c in range(D)]
@@ -726,7 +726,15 @@ def test_scatter_add_matches_add_at(ids):
 # --- length buckets of the text stack ----------------------------------------------
 
 
-def _one_full_width_bucket(text_mask):
+@pytest.fixture
+def quartile_cuts(monkeypatch):
+    """Pins the cost of a text-stack pass to 0 positions, so that the text
+    stack runs every quartile bucket ``_length_buckets`` cuts."""
+    monkeypatch.setattr(net, "_PASS_FIXED", 0.0)
+    monkeypatch.setattr(net, "_PASS_SCALE", 0.0)
+
+
+def _one_full_width_bucket(text_mask, pass_cost):
     """The bucketing that computes every position: the reference arithmetic."""
     return [(np.arange(text_mask.shape[0]), text_mask.shape[1])]
 
@@ -770,7 +778,7 @@ def _assert_bucketed_equals_full_width(params, config, vocab, batch, sessions, m
 
 
 @pytest.mark.parametrize("preset", ["tiny", "desk"])
-def test_length_buckets_match_one_full_width_bucket(preset, monkeypatch):
+def test_length_buckets_match_one_full_width_bucket(preset, monkeypatch, quartile_cuts):
     config = {"tiny": TINY_CONFIG, "desk": DESK_CONFIG}[preset]
     sessions = generate(CorpusConfig(seed=17, num_sessions=40))
     # Generated text mostly fills the tiny preset's 6 positions; shortened
@@ -785,7 +793,7 @@ def test_length_buckets_match_one_full_width_bucket(preset, monkeypatch):
     params = init_params(config, vocab, seed=6)
     ds = WindowDataset.from_sessions(sessions, vocab, config, "none")
     batch = replace(ds.batch, labels=np.random.default_rng(0).uniform(size=len(ds)))
-    assert len(net._length_buckets(batch.text_mask)) >= 3
+    assert len(net._length_buckets(batch.text_mask, 0.0)) >= 3
     _assert_bucketed_equals_full_width(params, config, vocab, batch, sessions, monkeypatch)
 
 
@@ -796,11 +804,31 @@ def test_length_buckets_cut_at_rounded_up_quartiles(lengths):
     above a quartile of the pool's lengths, holds it."""
     mask = (np.arange(7) < np.array(lengths)[:, None]).astype(float)
     cuts = np.unique(np.quantile(lengths, [0.25, 0.5, 0.75, 1.0], method="higher")).tolist()
-    buckets = net._length_buckets(mask)
+    buckets = net._length_buckets(mask, 0.0)
     assert [width for _, width in buckets] == cuts
     for (rows, width), below in zip(buckets, [0] + cuts[:-1]):
         assert all(below < lengths[r] <= width for r in rows)
     assert sorted(np.concatenate([rows for rows, _ in buckets])) == list(range(len(lengths)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=40), st.floats(0.0, 200.0))
+def test_length_buckets_merge_while_padding_costs_less_than_a_pass(lengths, pass_cost):
+    """Merged quartile groups still partition the rows, each width is its
+    group's longest row, and no neighbouring pair is left whose merge would
+    add fewer padded positions than a pass costs."""
+    mask = (np.arange(7) < np.array(lengths)[:, None]).astype(float)
+    lengths = np.array(lengths)
+    buckets = net._length_buckets(mask, pass_cost)
+    quartile_widths = [width for _, width in net._length_buckets(mask, 0.0)]
+    widths = [width for _, width in buckets]
+    assert set(widths) <= set(quartile_widths) and widths[-1] == quartile_widths[-1]
+    assert widths == sorted(set(widths))
+    assert sorted(np.concatenate([rows for rows, _ in buckets])) == list(range(len(lengths)))
+    for rows, width in buckets:
+        assert lengths[rows].max() == width
+    for (rows, width), (_, wider) in zip(buckets, buckets[1:]):
+        assert len(rows) * (wider - width) >= pass_cost
 
 
 @pytest.mark.parametrize("lengths, widths", [
@@ -808,11 +836,11 @@ def test_length_buckets_cut_at_rounded_up_quartiles(lengths):
     pytest.param([7] * 6, [7], id="all-full-length"),
     pytest.param([4], [4], id="one-row"),
 ])
-def test_length_bucket_edge_pools(lengths, widths, monkeypatch):
+def test_length_bucket_edge_pools(lengths, widths, monkeypatch, quartile_cuts):
     batch, vocab, sessions = _text_lengths_pool(lengths)
     lengths_got = batch.text_mask.sum(axis=1)
     assert sorted(lengths_got) == sorted(lengths)
-    buckets = net._length_buckets(batch.text_mask)
+    buckets = net._length_buckets(batch.text_mask, 0.0)
     assert [width for _, width in buckets] == widths
     rows = np.concatenate([r for r, _ in buckets])
     assert sorted(rows) == list(range(batch.pool_size))  # each row in one bucket
@@ -827,7 +855,7 @@ def test_length_bucket_edge_pools(lengths, widths, monkeypatch):
     pytest.param([3, 4, 5, 6, 7, 3, 5, 4], 4 * 4 + 2 * 5 + 6 + 7, id="mixed"),
     pytest.param([7] * 6, 6 * 7, id="all-full-length"),
 ])
-def test_text_blocks_skip_padding(lengths, positions, monkeypatch):
+def test_text_blocks_skip_padding(lengths, positions, monkeypatch, quartile_cuts):
     """The positions the first text block computes total less than M x L on
     a mixed-length pool and exactly M x L when every row is full length."""
     batch, vocab, _ = _text_lengths_pool(lengths)
@@ -848,6 +876,58 @@ def test_text_blocks_skip_padding(lengths, positions, monkeypatch):
         assert positions < M * L
     else:
         assert positions == M * L
+
+
+@pytest.mark.parametrize("preset", ["tiny", "desk"])
+def test_flat_products_match_per_row_products(preset, monkeypatch):
+    """Every per-position layer run as one 2-D product, the form the
+    deployed preset's large weights take, gives the scores, loss and
+    gradients of numpy's per-row products within 1e-12."""
+    config = {"tiny": TINY_CONFIG, "desk": DESK_CONFIG}[preset]
+    sessions = generate(CorpusConfig(seed=17, num_sessions=30))
+    vocab = Vocabulary.build(sessions, config.vocab_size)
+    params = init_params(config, vocab, seed=6)
+    ds = WindowDataset.from_sessions(sessions, vocab, config, "none")
+    batch = replace(ds.batch, labels=np.random.default_rng(0).uniform(size=len(ds)))
+
+    def run(min_weight):
+        monkeypatch.setattr(net, "_FLAT_MIN_WEIGHT", min_weight)
+        return predict_scores(params, config, batch), net.loss_and_grad_batch(params, config, batch)
+
+    (got_p, (got_loss, got_grads, _)), (want_p, (want_loss, want_grads, _)) = run(0), run(math.inf)
+    np.testing.assert_allclose(got_p, want_p, rtol=0, atol=1e-12)
+    assert abs(got_loss - want_loss) <= 1e-12
+    for name in params:
+        np.testing.assert_allclose(got_grads[name], want_grads[name], rtol=0, atol=1e-12,
+                                   err_msg=name)
+
+
+def test_deployed_forward_passes_the_text_stack_once(monkeypatch):
+    """At the deployed preset a gate decision's few pool rows run as one
+    length bucket, so each ``forward`` passes through the first text block
+    once; quartile cuts alone would split many of these windows."""
+    config = DEPLOYED_CONFIG
+    sessions = generate(CorpusConfig(seed=3, num_sessions=12))
+    vocab = Vocabulary.build(sessions, config.vocab_size)
+    params = init_params(config, vocab, seed=0)
+    windows = [list(s.turns[max(0, i + 1 - config.num_turns) : i + 1])
+               for s in sessions for i in range(len(s.turns))]
+    quartile = [len(net._length_buckets(encode_window(w, vocab, config).text_mask, 0.0))
+                for w in windows]
+    assert max(quartile) >= 3
+    passes = []
+    real_block = net._block_forward
+
+    def counting_block(params, prefix, *args, **kwargs):
+        if prefix == "text0.":
+            passes[-1] += 1
+        return real_block(params, prefix, *args, **kwargs)
+
+    monkeypatch.setattr(net, "_block_forward", counting_block)
+    for window in windows:
+        passes.append(0)
+        forward(params, config, vocab, window)
+    assert passes == [1] * len(windows)
 
 
 # --- vocabulary and checkpoints ---------------------------------------------------

@@ -107,6 +107,10 @@ def test_config_validation():
                          ("turns_min", "2"), ("turns_max", False)]:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             CorpusConfig(**{field: value}).validate()
+    for field in ("asr_error_rate", "nlu_error_rate", "user_error_rate"):
+        for value in ("0.1", True, None, float("nan"), -0.1):
+            with pytest.raises(ValueError, match=f"^{field} must be a number in"):
+                CorpusConfig(**{field: value}).validate()
 
 
 def test_config_roundtrip():

@@ -143,6 +143,16 @@ class DialogueTurn:
         setattr_(self, "nlu_confidence", _check_unit("nlu_confidence", self.nlu_confidence))
 
 
+def _check_weak_labels(labels, turns) -> tuple[float, ...]:
+    """``labels`` as a tuple of floats, one per turn, each in [0, 1]."""
+    weak = tuple(float(v) for v in labels)
+    if len(weak) != len(turns):
+        raise ValueError("weak_labels length must match turns")
+    if any(not (0.0 <= v <= 1.0) for v in weak):
+        raise ValueError("weak_labels must lie in [0, 1]")
+    return weak
+
+
 @dataclass(frozen=True)
 class Session:
     """Ordered turns of one conversation plus optional per-turn annotations."""
@@ -168,20 +178,17 @@ class Session:
                 raise ValueError("oracle_satisfaction values must be 0 or 1")
             object.__setattr__(self, "oracle_satisfaction", oracle)
         if self.weak_labels is not None:
-            weak = tuple(float(v) for v in self.weak_labels)
-            if len(weak) != len(self.turns):
-                raise ValueError("weak_labels length must match turns")
-            if any(not (0.0 <= v <= 1.0) for v in weak):
-                raise ValueError("weak_labels must lie in [0, 1]")
-            object.__setattr__(self, "weak_labels", weak)
+            object.__setattr__(self, "weak_labels", _check_weak_labels(self.weak_labels, self.turns))
 
     def with_weak_labels(self, labels: Sequence[float]) -> "Session":
-        return Session(
-            session_id=self.session_id,
-            turns=self.turns,
-            oracle_satisfaction=self.oracle_satisfaction,
-            weak_labels=tuple(labels),
-        )
+        """This session with ``labels`` as its weak labels. Only the labels
+        are checked: the rest was checked when this session was built."""
+        session = object.__new__(Session)
+        for name, value in (("session_id", self.session_id), ("turns", self.turns),
+                            ("oracle_satisfaction", self.oracle_satisfaction),
+                            ("weak_labels", _check_weak_labels(labels, self.turns))):
+            object.__setattr__(session, name, value)
+        return session
 
     def labels(self, source: str) -> tuple:
         """The per-turn "oracle" satisfaction bits or "weak" labels, else a

@@ -63,7 +63,12 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, dict]:
     """Config, vocabulary and parameters. The payload is read straight into
     one flat vector, and the parameters are views into it in the file's
     tensor order (``flat_views``); a tensor that does not start where the
-    one before it ends, or that the file ends inside, is a ``CheckpointError``."""
+    one before it ends, or that the file ends inside, is a ``CheckpointError``.
+
+    The vector, and so every view, is read-only: an in-place write raises
+    ``ValueError``. Loaded weights cannot change under ``net.forward``, which
+    therefore reuses the turn embeddings of its previous window; ``train``
+    copies them into a vector of its own."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -97,6 +102,7 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, dict]:
                 f"truncated checkpoint: tensor {name!r} needs payload bytes "
                 f"{start}..{stop}, but the payload holds {got}"
             )
+    flat.flags.writeable = False
     _, params = flat_views({name: shape for name, shape, _ in tensors}, flat)
     return config, vocab, params
 

@@ -99,21 +99,9 @@ def _content_key(turn: DialogueTurn, vocab: Vocabulary, config: PredictorConfig)
     return text, vocab.domain_id(turn.domain_intent), vocab.item_id(turn.result_item), slots
 
 
-def _build(
-    sessions: Sequence[Sequence[DialogueTurn]], vocab: Vocabulary, config: PredictorConfig
-) -> tuple[Batch, np.ndarray]:
-    """One window per turn of every session, over a pool holding each distinct
-    content key once (in order of first appearance). Returns the batch, with
-    zero labels, and each window's turn index within its session."""
-    rows: dict[tuple, int] = {}
-    turn_rows: list[int] = []
-    turn_index: list[int] = []
-    for turns in sessions:
-        for turn in turns:
-            turn_rows.append(rows.setdefault(_content_key(turn, vocab, config), len(rows)))
-        turn_index.extend(range(len(turns)))
-    keys = list(rows)
-
+def _pool_batch(keys: Sequence[tuple], config: PredictorConfig) -> Batch:
+    """Pool arrays holding content keys ``keys`` (``_content_key``), one row
+    each and in order, as a batch of no windows."""
     # Masks follow from the lengths; boolean-mask assignment then fills the
     # ids in row-major order, the order of the keys.
     m, L = len(keys), config.max_text_len + 1  # one aggregate slot ahead of the text
@@ -131,6 +119,27 @@ def _build(
     key_ids[key_mask > 0] = [key for k in keys for key, _ in k[3]]
     val_ids = np.zeros(val_mask.shape, dtype=np.int64)
     val_ids[val_mask > 0] = [t for k in keys for _, v in k[3] for t in v]
+    dom_ids = np.fromiter((k[1] for k in keys), np.int64, m)
+    item_ids = np.fromiter((k[2] for k in keys), np.int64, m)
+    T = config.num_turns
+    return Batch(text_ids, text_mask, dom_ids, item_ids, key_ids, key_mask, val_ids, val_mask,
+                 window_rows=np.zeros((0, T), dtype=np.int64), turn_mask=np.zeros((0, T)),
+                 labels=np.zeros(0))
+
+
+def _build(
+    sessions: Sequence[Sequence[DialogueTurn]], vocab: Vocabulary, config: PredictorConfig
+) -> tuple[Batch, np.ndarray]:
+    """One window per turn of every session, over a pool holding each distinct
+    content key once (in order of first appearance). Returns the batch, with
+    zero labels, and each window's turn index within its session."""
+    rows: dict[tuple, int] = {}
+    turn_rows: list[int] = []
+    turn_index: list[int] = []
+    for turns in sessions:
+        for turn in turns:
+            turn_rows.append(rows.setdefault(_content_key(turn, vocab, config), len(rows)))
+        turn_index.extend(range(len(turns)))
 
     # Window slot j holds the turn ``back[j]`` turns before the window's own,
     # when its session has one; padded slots point at row 0.
@@ -139,11 +148,8 @@ def _build(
     turn_mask = (turn_index[:, None] >= back).astype(np.float64)
     source = np.maximum(np.arange(len(turn_rows))[:, None] - back, 0)
     window_rows = np.where(turn_mask > 0, turn_rows[source], 0)
-
-    dom_ids = np.fromiter((k[1] for k in keys), np.int64, m)
-    item_ids = np.fromiter((k[2] for k in keys), np.int64, m)
-    batch = Batch(text_ids, text_mask, dom_ids, item_ids, key_ids, key_mask, val_ids, val_mask,
-                  window_rows, turn_mask, labels=np.zeros(len(turn_rows)))
+    batch = replace(_pool_batch(list(rows), config), window_rows=window_rows,
+                    turn_mask=turn_mask, labels=np.zeros(len(turn_rows)))
     return batch, turn_index
 
 

@@ -30,18 +30,30 @@ Turns are encoded once per pool row and gathered into windows. The pool
 (``data.py``) holds each distinct turn content once, so training, batch
 scoring and online gating all run the heavy per-turn work once per distinct
 content, however many windows and window slots share it.
+
+The single-window ``forward`` that a gate calls per decision carries the
+previous call's turn embeddings over to the next call (at most
+``num_turns`` rows, keyed by content) and encodes only the contents they
+lack, so a session replayed turn by turn encodes one row per decision.
+It reuses rows only for read-only parameter arrays, as ``load_checkpoint``
+returns them, that are the same objects as on the previous call, with the
+same config and vocabulary; writable parameters, and interleaved sessions,
+get no reuse. A reused row was encoded in another pool than
+``predict_scores`` encodes it in, so a decision equals ``predict_scores``
+within 1e-12 rather than bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
 from .._allocator import keep_working_memory_mapped
 from ..dialog import DialogueTurn
 from .config import PredictorConfig
-from .data import Batch, encode_window
+from .data import Batch, _content_key, _pool_batch, encode_window
 from .vocab import Vocabulary
 
 __all__ = [
@@ -158,8 +170,8 @@ def attend_turns(query_vec, keys, values, d: float) -> np.ndarray:
     q = np.asarray(query_vec, dtype=np.float64).reshape(-1)
     K = np.atleast_2d(np.asarray(keys, dtype=np.float64))
     V = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    if d <= 0:
-        raise ValueError(f"attention scale d must be positive, got {d!r}")
+    if not (math.isfinite(d) and d > 0):
+        raise ValueError(f"attention scale d must be positive and finite, got {d!r}")
     if K.shape != V.shape or K.shape[1] != q.shape[0] or K.shape[0] < 1:
         raise ValueError(
             f"shape mismatch: query {q.shape}, keys {K.shape}, values {V.shape}"
@@ -619,7 +631,7 @@ def loss(p: float, label: float) -> float:
     return -(y * math.log(p) + (1.0 - y) * math.log(1.0 - p))
 
 
-def loss_and_grad_batch(params, config, batch: Batch, out=None):
+def loss_and_grad_batch(params, config, batch: Batch, out=None, scratch=None):
     """Mean cross-entropy over the batch and its exact gradient.
 
     Windows are processed in fixed index order, in chunks of ``_MICROBATCH``,
@@ -627,13 +639,20 @@ def loss_and_grad_batch(params, config, batch: Batch, out=None):
     result does not depend on the chunk size up to float rounding (the
     chunking decides the order in which gradients are summed). The gradient
     is a dict of views into one flat vector laid out as ``flat_views`` lays
-    out ``params``: ``out`` when given (it is overwritten), else a fresh one.
+    out ``params``. ``out`` and ``scratch``, when given, are such
+    (vector, views) pairs, as ``flat_views`` returns them: the gradient
+    lands in ``out`` (overwritten), and each chunk's gradient is summed in
+    ``scratch`` first; a caller that computes many gradients hands both in
+    once instead of building them per call.
     """
     n = len(batch)
-    shapes = {k: np.shape(v) for k, v in params.items()}
-    total, total_views = flat_views(shapes, out)
+    if out is None or scratch is None:
+        shapes = {k: np.shape(v) for k, v in params.items()}
+        out = flat_views(shapes) if out is None else out
+        scratch = flat_views(shapes) if scratch is None else scratch
+    total, total_views = out
+    part, part_views = scratch
     total[...] = 0.0
-    part, part_views = flat_views(shapes)
     loss_sum = 0.0
     p_all = np.zeros(n)
     for start in range(0, n, _MICROBATCH):
@@ -679,16 +698,68 @@ def predict_scores(params, config, batch: Batch, microbatch: int = 1024) -> np.n
 # --- single-window public operations --------------------------------------
 
 
+# The previous ``forward`` call's model and turn embeddings: weak references to
+# its config, vocabulary and parameter arrays, and its window's content keys
+# (``data._content_key``) mapped to their embeddings. Replaced by every call;
+# empty after a call with writable parameters. A call reads it once and
+# replaces it whole, and checks the model against the same snapshot, so
+# concurrent calls can lose reuse but never read another model's rows.
+_last_window: tuple[tuple, dict] = ((), {})
+
+
 def forward(params, config, vocab: Vocabulary, window: list[DialogueTurn]) -> float:
     """Satisfaction probability for the last turn of the window.
+
+    A turn's embedding does not depend on the other turns of its window, so
+    a call reuses the embeddings of the previous call's window: it encodes
+    only the contents that window did not hold, as one pool, and scores the
+    window over the embeddings (``_score_windows``). A gate that replays a
+    session turn by turn thus encodes one turn per decision. Reuse holds
+    only while the weights cannot change: every parameter array must be
+    read-only, as ``load_checkpoint`` returns them, and the same object as
+    on the previous call, with the same config and vocabulary. Otherwise,
+    and always for writable parameters (``init_params``, ``train``), the
+    call encodes its whole window as one pool. The memo
+    holds at most ``num_turns`` rows, and the arrays only by weak
+    reference, so it keeps no replaced model alive. Interleaved sessions get
+    no reuse: the memo holds the previous call's window alone.
+
+    A row's bits can depend on which rows were encoded with it (the length
+    bucket it is trimmed to, and BLAS's threading of the 2-D products), so
+    a decision equals ``predict_scores`` on its window within 1e-12, not
+    bit for bit.
 
     A gate serves one window per call, call after call, so on glibc the
     first call applies ``keep_working_memory_mapped`` (as ``training.train``
     does) and later calls reuse the working memory the last one freed; the
     setting persists for the rest of the process."""
+    global _last_window
     keep_working_memory_mapped()
-    batch = encode_window(list(window), vocab, config)
-    p, _ = forward_batch(params, config, batch, want_cache=False)
+    T = config.num_turns
+    if not (1 <= len(window) <= T):
+        raise ValueError(f"window must hold between 1 and {T} turns, got {len(window)}")
+    model = (config, vocab, *params.values())
+    frozen = all(isinstance(a, np.ndarray) and not a.flags.writeable for a in params.values())
+    refs, memo = _last_window
+    if not (frozen and len(refs) == len(model) and all(r() is x for r, x in zip(refs, model))):
+        refs = tuple(weakref.ref(x) for x in model) if frozen else ()
+        memo = {}
+
+    keys = [_content_key(turn, vocab, config) for turn in window]
+    distinct = list(dict.fromkeys(keys))
+    missed = [k for k in distinct if k not in memo]
+    if missed:
+        E_missed, _ = _encode_pool(params, config, _pool_batch(missed, config), want_cache=False)
+        memo = {**memo, **dict(zip(missed, E_missed))}
+    E = np.stack([memo[k] for k in distinct])
+    _last_window = (refs, dict(zip(distinct, E))) if frozen else ((), {})
+
+    row = {k: i for i, k in enumerate(distinct)}
+    window_rows = np.zeros((1, T), dtype=np.int64)
+    window_rows[0, T - len(keys):] = [row[k] for k in keys]
+    turn_mask = np.zeros((1, T))
+    turn_mask[0, T - len(keys):] = 1.0
+    p, _ = _score_windows(params, config, E, window_rows, turn_mask, want_cache=False)
     return float(p[0])
 
 

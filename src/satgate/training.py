@@ -153,6 +153,8 @@ def train(
 
     Parameters, the gradient and Adam's two moments each live in one flat
     float64 vector; the returned parameter dicts are views into such vectors.
+    ``params`` is copied into the parameter vector, so a loaded checkpoint's
+    read-only arrays train as they are.
     On glibc, the first thing a call does is raise the allocator's mmap and
     trim thresholds (``keep_working_memory_mapped``), so that steps reuse
     their working memory instead of faulting it in again; the setting
@@ -177,7 +179,10 @@ def train(
     rng = np.random.default_rng([tconfig.seed, 0xA11])
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
-    grad_buffer = np.empty_like(flat)
+    # The gradient's (vector, views) and a scratch pair for its chunks, built
+    # once and refilled by every step.
+    grads = flat_views(shapes)
+    scratch = flat_views(shapes)
     t = 0
     trace: list[TraceRow] = []
     best_auc = None
@@ -190,13 +195,13 @@ def train(
         for bi, start in enumerate(range(0, n, tconfig.batch_size)):
             idx = order[start : start + tconfig.batch_size]
             batch_loss, _, _ = loss_and_grad_batch(params, config, batch.subset(idx),
-                                                   out=grad_buffer)
+                                                   out=grads, scratch=scratch)
             if not math.isfinite(batch_loss):
                 raise RuntimeError(
                     f"non-finite training loss at epoch {epoch}, batch {bi}"
                 )
             t += 1
-            adam_update(flat, grad_buffer, m, v, t, tconfig)
+            adam_update(flat, grads[0], m, v, t, tconfig)
             trace.append(TraceRow(epoch=epoch, step=t, train_loss=batch_loss, val_auc=None))
 
         if val_batch is not None and (

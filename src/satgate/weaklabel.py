@@ -406,7 +406,9 @@ def weak_label_many(model: WeakLabelModel, X: np.ndarray) -> np.ndarray:
 def label_corpus(
     model: WeakLabelModel, extractor: FeatureExtractor, sessions: list[Session]
 ) -> list[Session]:
-    """Attach a weak label to every turn; oracle labels pass through unchanged."""
+    """Attach a weak label to every turn; oracle labels pass through unchanged.
+    The sessions were checked when they were built, so only the labels are
+    checked again (``Session.with_weak_labels``)."""
     labels = weak_label_sessions(model, extractor, sessions).tolist()
     ends = accumulate(len(session.turns) for session in sessions)
     return [

@@ -237,6 +237,28 @@ def test_turn_validation():
         make_turn(timestamp=-1.0)
 
 
+def test_with_weak_labels_checks_the_labels_alone(monkeypatch):
+    """The labeled copy equals a fully built session with those labels; a
+    wrong count or a label outside [0, 1] is a ValueError, and nothing but
+    the labels is checked again."""
+    turns = (make_turn(timestamp=0.0), make_turn(timestamp=1.0))
+    session = Session("s", turns, oracle_satisfaction=(1, 0))
+    labeled = session.with_weak_labels([0.25, 1])
+    assert labeled == Session("s", turns, oracle_satisfaction=(1, 0), weak_labels=(0.25, 1.0))
+    assert [type(v) for v in labeled.weak_labels] == [float, float]
+    assert session.weak_labels is None
+    with pytest.raises(ValueError, match="length must match"):
+        session.with_weak_labels([0.5])
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        session.with_weak_labels([0.5, float("nan")])
+
+    def fail(self):
+        raise AssertionError("the session was validated again")
+
+    monkeypatch.setattr(Session, "__post_init__", fail)
+    assert session.with_weak_labels([0.5, 0.5]).weak_labels == (0.5, 0.5)
+
+
 def test_session_validation():
     t0 = make_turn(timestamp=10.0)
     t1 = make_turn(timestamp=5.0)

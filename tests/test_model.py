@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import sys
 import threading
 from dataclasses import replace
 
@@ -32,6 +33,7 @@ from satgate.model import (
 )
 from satgate.model import net
 from satgate.synth import CorpusConfig, generate
+from satgate.training import TrainConfig, train
 from satgate.weaklabel import FeatureExtractor, features_matrix
 
 from conftest import make_turn
@@ -115,6 +117,13 @@ def test_attend_shape_and_scale_errors(rng):
         attend_turns(rng.normal(size=3), rng.normal(size=(2, 3)), rng.normal(size=(3, 3)), 4.0)
     with pytest.raises(ValueError):
         attend_turns(rng.normal(size=3), rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), 0.0)
+
+
+@pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+def test_attend_rejects_a_non_finite_scale(rng, d):
+    q, K = rng.normal(size=3), rng.normal(size=(2, 3))
+    with pytest.raises(ValueError, match=f"scale d must be positive and finite, got {d!r}"):
+        attend_turns(q, K, K, d)
 
 
 def test_forward_applies_the_allocator_policy(fake_mallopt, tiny_setup):
@@ -424,6 +433,190 @@ def test_lipschitz_smoke(tiny_setup):
     assert c < 1e3
 
 
+# --- forward's memo of the previous window -------------------------------------
+
+
+_PRESETS = {"tiny": TINY_CONFIG, "desk": DESK_CONFIG, "deployed": DEPLOYED_CONFIG}
+
+
+def _loaded_model(config, sessions, tmp_path, seed=4):
+    """A checkpoint of seeded initial weights, saved and loaded back, and the
+    sessions' windows scored by ``predict_scores`` in corpus order."""
+    vocab = Vocabulary.build(sessions, config.vocab_size)
+    save_checkpoint(tmp_path / "m.ckpt", config, vocab, init_params(config, vocab, seed=seed))
+    _, vocab, params = load_checkpoint(tmp_path / "m.ckpt")
+    ds = WindowDataset.from_sessions(sessions, vocab, config, "none")
+    return vocab, params, predict_scores(params, config, ds.batch, microbatch=128)
+
+
+def _window(session, i, config):
+    return list(session.turns[max(0, i + 1 - config.num_turns) : i + 1])
+
+
+@pytest.fixture
+def encoded_rows(monkeypatch):
+    """The pool size of every ``_encode_pool`` call, in call order."""
+    sizes = []
+    real_encode = net._encode_pool
+
+    def counting_encode(params, config, pool, want_cache):
+        sizes.append(pool.pool_size)
+        return real_encode(params, config, pool, want_cache)
+
+    monkeypatch.setattr(net, "_encode_pool", counting_encode)
+    return sizes
+
+
+@pytest.mark.parametrize("order", ["sessions", "interleaved"])
+@pytest.mark.parametrize("preset", ["tiny", "desk", "deployed"])
+def test_forward_replay_with_loaded_params_equals_predict_scores(preset, order, tmp_path):
+    """Every turn of a corpus replayed through ``forward``, reusing the
+    previous window's rows, scores as ``predict_scores`` does within 1e-12:
+    sessions one after another, or two at a time, turn by turn."""
+    config = _PRESETS[preset]
+    sessions = generate(CorpusConfig(seed=21, num_sessions=6 if preset == "deployed" else 30))
+    vocab, params, want = _loaded_model(config, sessions, tmp_path)
+    corpus_row = {}
+    for si, session in enumerate(sessions):
+        for i in range(len(session.turns)):
+            corpus_row[si, i] = len(corpus_row)
+    if order == "sessions":
+        replay = list(corpus_row)
+    else:
+        replay = []
+        for a in range(0, len(sessions), 2):
+            pair = [k for k in (a, a + 1) if k < len(sessions)]
+            longest = max(len(sessions[k].turns) for k in pair)
+            replay += [(k, i) for i in range(longest) for k in pair if i < len(sessions[k].turns)]
+    assert sorted(replay) == sorted(corpus_row)
+    for si, i in replay:
+        got = forward(params, config, vocab, _window(sessions[si], i, config))
+        assert abs(got - want[corpus_row[si, i]]) <= 1e-12, (si, i)
+
+
+def test_forward_encodes_only_the_new_turn_of_a_replayed_session(tmp_path, encoded_rows):
+    """With the predecessors in the memo, a decision encodes its own turn
+    alone; a window's first decision encodes every row."""
+    config = DESK_CONFIG
+    sessions = generate(CorpusConfig(seed=5, num_sessions=40))
+    vocab, params, _ = _loaded_model(config, sessions, tmp_path)
+    session = next(s for s in sessions if len(s.turns) >= config.num_turns + 1
+                   and len({net._content_key(t, vocab, config) for t in s.turns}) == len(s.turns))
+    encoded_rows.clear()
+    for i in range(len(session.turns)):
+        forward(params, config, vocab, _window(session, i, config))
+    assert encoded_rows == [1] * len(session.turns)
+    encoded_rows.clear()
+    forward(params, config, vocab, _window(session, 0, config))  # the memo holds other turns
+    forward(params, config, vocab, _window(session, 0, config))  # the memo holds this one
+    assert encoded_rows == [1]
+
+
+def test_forward_reencodes_after_a_param_is_replaced_or_another_vocab(tmp_path, encoded_rows):
+    """Replacing one array of a loaded params dict, even by a read-only one,
+    or passing another vocabulary, encodes every row afresh; the result is
+    the new model's score, not a stale row's."""
+    config = TINY_CONFIG
+    sessions = generate(CorpusConfig(seed=6, num_sessions=20))
+    vocab, params, _ = _loaded_model(config, sessions, tmp_path)
+    session = next(s for s in sessions if len(s.turns) >= 2 and
+                   net._content_key(s.turns[0], vocab, config)
+                   != net._content_key(s.turns[1], vocab, config))
+    window = _window(session, 1, config)
+    encoded_rows.clear()
+    forward(params, config, vocab, window)
+    forward(params, config, vocab, window)
+    assert encoded_rows == [2]
+
+    edited = dict(params)
+    edited["tok_emb"] = params["tok_emb"] * 1.5
+    edited["tok_emb"].flags.writeable = False
+    got = forward(edited, config, vocab, window)
+    copies = {k: v.copy() for k, v in edited.items()}
+    assert got == forward_batch(copies, config, encode_window(window, vocab, config))[0][0]
+    assert got != forward(params, config, vocab, window)
+    same_words = Vocabulary.from_dict(vocab.to_dict())
+    forward(params, config, same_words, window)
+    # The first call, the edited dict, the reference, the original dict
+    # again, and the other vocabulary.
+    assert encoded_rows == [2] * 5
+
+
+def test_concurrent_forward_calls_score_as_predict_scores(tmp_path):
+    """Threads replaying different sessions through ``forward`` share its
+    memo; with two models and frequent thread switches every decision still
+    equals ``predict_scores`` of its own model within 1e-12."""
+    config = TINY_CONFIG
+    sessions = generate(CorpusConfig(seed=12, num_sessions=16))
+    models = []
+    for seed in (1, 2):
+        (tmp_path / str(seed)).mkdir()
+        models.append(_loaded_model(config, sessions, tmp_path / str(seed), seed=seed))
+    starts = np.cumsum([0] + [len(s.turns) for s in sessions])
+    errors = []
+
+    def replay(k):
+        vocab, params, want = models[k % 2]
+        for _ in range(3):
+            for si in range(k, len(sessions), 4):
+                for i in range(len(sessions[si].turns)):
+                    got = forward(params, config, vocab, _window(sessions[si], i, config))
+                    if abs(got - want[starts[si] + i]) > 1e-12:
+                        errors.append((k, si, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=replay, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+def test_writable_params_edited_in_place_between_calls_match_fresh_params(tiny_setup):
+    """The finite-difference pattern: writable params edited in place between
+    two ``forward`` calls give, bit for bit, what the edited values give as
+    a fresh dict; no row of the first call is reused."""
+    sessions, vocab, _ = tiny_setup
+    session = next(s for s in sessions if len(s.turns) >= 3)
+    params = init_params(TINY_CONFIG, vocab, seed=8)
+    for i, name in enumerate(("tok_emb", "text0.Wq", "struct0.ffn1_W")):
+        forward(params, TINY_CONFIG, vocab, _window(session, i, TINY_CONFIG))
+        params[name][...] *= 1.0 + 1e-3
+        window = _window(session, i + 1, TINY_CONFIG)
+        got = forward(params, TINY_CONFIG, vocab, window)
+        fresh = {k: v.copy() for k, v in params.items()}
+        want = forward_batch(fresh, TINY_CONFIG, encode_window(window, vocab, TINY_CONFIG))[0][0]
+        assert got == want, name
+
+
+def test_loaded_checkpoint_is_read_only_and_still_trains_and_scores(tmp_path, tiny_setup):
+    """Every loaded array is read-only, so an in-place write raises; ``train``
+    (as ``satgate train --warm`` calls it) and ``predict_scores`` take the
+    loaded dict and give what a writable copy of it gives, bit for bit."""
+    sessions, vocab, params = tiny_setup
+    save_checkpoint(tmp_path / "m.ckpt", TINY_CONFIG, vocab, params)
+    config, vocab, loaded = load_checkpoint(tmp_path / "m.ckpt")
+    assert not any(v.flags.writeable for v in loaded.values())
+    with pytest.raises(ValueError, match="read-only"):
+        loaded["out_w"][0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        loaded["tok_emb"] += 1.0
+    copies = {k: v.copy() for k, v in loaded.items()}
+    ds = WindowDataset.from_sessions(sessions, vocab, config, "oracle")
+    tconfig = TrainConfig(batch_size=32, learning_rate=0.01, epochs=1)
+    for a, b in zip(train(loaded, config, ds, None, tconfig).trace,
+                    train(copies, config, ds, None, tconfig).trace):
+        assert a.train_loss == b.train_loss
+    assert (predict_scores(loaded, config, ds.batch).tobytes()
+            == predict_scores(copies, config, ds.batch).tobytes())
+
+
 # --- loss ---------------------------------------------------------------------
 
 
@@ -689,18 +882,21 @@ def test_predict_scores_rejects_microbatch_below_one(repeated_setup):
 def test_loss_and_grad_batch_fills_the_given_flat_buffer(repeated_setup, monkeypatch):
     """With ``out`` the gradient lands in that vector, overwriting what it
     held, and equals the gradient of a call without it bit for bit, with one
-    chunk and with several."""
+    chunk and with several, and with a ``scratch`` pair that holds garbage."""
     batch, params = repeated_setup
+    shapes = {k: v.shape for k, v in params.items()}
     size = sum(v.size for v in params.values())
     for microbatch in (256, 3):
         monkeypatch.setattr(net, "_MICROBATCH", microbatch)
         _, want, _ = net.loss_and_grad_batch(params, TINY_CONFIG, batch)
-        out = np.full(size, 7.0)
-        _, got, _ = net.loss_and_grad_batch(params, TINY_CONFIG, batch, out=out)
-        assert list(got) == list(params)
-        for name in params:
-            assert got[name].base is out
-            assert got[name].tobytes() == want[name].tobytes(), name
+        for scratch in (None, net.flat_views(shapes, np.full(size, -3.0))):
+            out = net.flat_views(shapes, np.full(size, 7.0))
+            _, got, _ = net.loss_and_grad_batch(params, TINY_CONFIG, batch, out=out,
+                                                scratch=scratch)
+            assert got is out[1] and list(got) == list(params)
+            for name in params:
+                assert got[name].base is out[0]
+                assert got[name].tobytes() == want[name].tobytes(), name
 
 
 # --- embedding scatter ---------------------------------------------------------------

@@ -90,6 +90,15 @@ def _check_keys(raw: dict, accepted, where: str) -> None:
         )
 
 
+def _json_number(obj: dict, key: str, default: float, where: str) -> float:
+    """``obj[key]`` (``default`` when absent) as a float; a boolean or a
+    string fails here instead of being coerced."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where}: {key!r} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -209,7 +218,9 @@ def _resolve_train_configs(raw: dict, seed_override):
     else:
         tconfig = training.TrainConfig(**train_dict)
     label_source = raw.get("label_source", "weak")
-    init_seed = int(raw.get("init_seed", 0))
+    init_seed = raw.get("init_seed", 0)
+    if isinstance(init_seed, bool) or not isinstance(init_seed, int) or init_seed < 0:
+        raise ValueError(f"train config: 'init_seed' must be a JSON integer >= 0, got {init_seed!r}")
     return model_config, tconfig, label_source, init_seed
 
 
@@ -335,22 +346,24 @@ def _cmd_simulate(args) -> int:
     spec = _load_config_file(args.variants)
     _check_keys(spec, _SIMULATE_KEYS, "simulate variants spec")
     entries = _variant_entries(spec)
+    where = "simulate variants spec"
     settings = {
-        "threshold": float(spec.get("threshold", 0.7)),
-        "p_fix": float(spec.get("p_fix", 0.8)),
-        "p_annoy": float(spec.get("p_annoy", 0.5)),
+        "threshold": _json_number(spec, "threshold", 0.7, where),
+        "p_fix": _json_number(spec, "p_fix", 0.8, where),
+        "p_annoy": _json_number(spec, "p_annoy", 0.5, where),
         "rating_source": spec.get("rating_source", "oracle"),
         "partition_weights": spec.get("partition_weights"),
         "paired": spec.get("paired", False),
     }
     if not isinstance(settings["paired"], bool):
-        raise ValueError(f"simulate variants spec: 'paired' must be a JSON boolean, got {settings['paired']!r}")
+        raise ValueError(f"{where}: 'paired' must be a JSON boolean, got {settings['paired']!r}")
+    thresholds = [_json_number(entry, "threshold", settings["threshold"],
+                               f"simulate variant {entry['name']!r}") for entry in entries]
     sessions = read_sessions(args.corpus)
     behavior = gate_mod.BehaviorModel(p_fix=settings["p_fix"], p_annoy=settings["p_annoy"])
     variants = []
-    for entry in entries:
+    for entry, threshold in zip(entries, thresholds):
         kind = entry.get("kind", "none")
-        threshold = float(entry.get("threshold", settings["threshold"]))
         if kind == "none":
             scores = None
         elif kind == "weak":

@@ -17,7 +17,7 @@ padding a merge adds costs less than another pass through the text blocks;
 each bucket is trimmed to its longest row, so the padding past it is never
 computed (a masked key gets a softmax weight of exactly 0, and no output
 reads a padded query). A training pool keeps its quartile buckets; a gate
-decision's few rows mostly run as one. Turn
+decision that replays a session turn by turn encodes one row (below). Turn
 embeddings, offset-tagged by distance from the current turn, feed an
 attention of the current turn over its predecessors; each turn's embedding
 concatenated with that attention output passes through a shared
@@ -212,6 +212,9 @@ def _param_specs(config: PredictorConfig, vocab: Vocabulary) -> list[tuple]:
     L = config.max_text_len + 1
     rows = {"tok_emb": vocab.n_tokens, "pos_emb": L, "dom_emb": vocab.n_domains,
             "slotkey_emb": vocab.n_slot_keys, "item_emb": vocab.n_items, "turn_offset_emb": T}
+    # Nothing reads null_turn: padded window slots need no embedding
+    # (``_score_windows``). It stays because removing it would shift every
+    # later init draw and change the checkpoint's tensor set.
     specs = [(name, (n, D), 0.1) for name, n in rows.items()] + [("null_turn", (D,), 0.1)]
 
     def linear(name, nin, nout):
@@ -308,11 +311,9 @@ def _block_forward(params, prefix, x, key_mask, num_heads, summary_only=False):
     def heads(m):
         return m.reshape(N, -1, H, hd).transpose(0, 2, 1, 3)
 
-    Wkv = np.concatenate([params[prefix + "Wk"], params[prefix + "Wv"]], axis=1)
-    kv = _positionwise(x, Wkv) + np.concatenate([params[prefix + "bk"], params[prefix + "bv"]])
     q = heads(_positionwise(xq, params[prefix + "Wq"]) + params[prefix + "bq"])
-    k = heads(kv[..., :D])
-    v = heads(kv[..., D:])
+    k = heads(_positionwise(x, params[prefix + "Wk"]) + params[prefix + "bk"])
+    v = heads(_positionwise(x, params[prefix + "Wv"]) + params[prefix + "bv"])
     mask = None if key_mask is None else key_mask[:, None, :]
     out, A = _attend(q, k, v, mask, hd)
     ctx = out.transpose(0, 2, 1, 3).reshape(xq.shape)
@@ -323,7 +324,7 @@ def _block_forward(params, prefix, x, key_mask, num_heads, summary_only=False):
     f = _positionwise(gu, params[prefix + "ffn2_W"]) + params[prefix + "ffn2_b"]
     x2, ln2 = _ln_forward(x1 + f, params[prefix + "ln2_g"], params[prefix + "ln2_b"])
 
-    cache = {"x": x, "q": q, "k": k, "v": v, "A": A, "ctx": ctx, "Wkv": Wkv,
+    cache = {"x": x, "q": q, "k": k, "v": v, "A": A, "ctx": ctx,
              "ln1": ln1, "x1": x1, "gu": gu, "ln2": ln2}
     return x2, cache
 
@@ -365,16 +366,14 @@ def _block_backward(params, grads, prefix, dy, cache, num_heads):
     def unheads(m):
         return m.transpose(0, 2, 1, 3).reshape(N, -1, D)
 
-    d_q = unheads(d_q)
-    d_kv = np.concatenate([unheads(d_k), unheads(d_v)], axis=-1)
+    d_q, d_k, d_v = unheads(d_q), unheads(d_k), unheads(d_v)
     grads[prefix + "Wq"] += x[:, :Lq].reshape(-1, D).T @ d_q.reshape(-1, D)
     grads[prefix + "bq"] += d_q.sum(axis=(0, 1))
-    gW = x.reshape(-1, D).T @ d_kv.reshape(-1, 2 * D)
-    gb = d_kv.sum(axis=(0, 1))
-    for i, n in enumerate("kv"):
-        grads[prefix + "W" + n] += gW[:, i * D : (i + 1) * D]
-        grads[prefix + "b" + n] += gb[i * D : (i + 1) * D]
-    d_x = _positionwise(d_kv, cache["Wkv"].T)
+    for n, d_n in (("k", d_k), ("v", d_v)):
+        grads[prefix + "W" + n] += x.reshape(-1, D).T @ d_n.reshape(-1, D)
+        grads[prefix + "b" + n] += d_n.sum(axis=(0, 1))
+    d_x = (_positionwise(d_k, params[prefix + "Wk"].T)
+           + _positionwise(d_v, params[prefix + "Wv"].T))
     d_x[:, :Lq] += dres1 + _positionwise(d_q, params[prefix + "Wq"].T)
     return d_x
 
@@ -392,9 +391,10 @@ def _length_buckets(text_mask, pass_cost):
     the text blocks, which costs ``pass_cost`` positions' worth of time
     (each pass re-reads every block's weights), so the neighbouring pair
     whose merge adds the fewest padded positions is merged for as long as
-    that padding costs less than a pass. A gate decision's few rows then
-    mostly run as one group, while a training pool's quartile groups, each
-    a quarter of the pool, stay apart.
+    that padding costs less than a pass. A pool of a few rows (a gate
+    decision that encodes its whole window) then mostly runs as one group,
+    a replayed decision's one row is one group, and a training pool's
+    quartile groups, each a quarter of the pool, stay apart.
 
     A row's length is one past its last real position (the aggregate slot
     and the text form a prefix), so trimming a row to any width at or above
@@ -410,7 +410,7 @@ def _length_buckets(text_mask, pass_cost):
     sorted_lengths = lengths[order]
     # The k-th cut is the sorted length at index ceil(k (n - 1) / _MAX_BUCKETS),
     # the one np.quantile(..., method="higher") picks, in integer arithmetic:
-    # this runs once per pool, and a gate decision's pool is a few rows.
+    # this runs once per pool, and a replayed gate decision's pool is one row.
     cuts = sorted({int(sorted_lengths[-(-k * (n - 1) // _MAX_BUCKETS)])
                    for k in range(1, _MAX_BUCKETS + 1)})
     # Group i is order[bounds[i]:bounds[i + 1]], of width cuts[i]; merging it
@@ -534,12 +534,13 @@ def _score_windows(params, config: PredictorConfig, E, window_rows, turn_mask, w
     B, T = window_rows.shape
     D = config.embed_dim
 
-    # Turn-order information by distance from the current turn, so that front
-    # padding never shifts a real turn's offset.
-    offsets = np.arange(T - 1, -1, -1)
+    # Turn-order information by distance from the current turn (slot j is
+    # T - 1 - j turns back), so that front padding never shifts a real turn's
+    # offset. A padded slot keeps whatever row it indexes: it gets softmax
+    # weight exactly 0 in the cross-turn attention and never wins the
+    # max-pool, so no output reads it.
     tm = turn_mask
-    e_real = E[window_rows] + params["turn_offset_emb"][offsets][None, :, :]
-    e = np.where(tm[..., None] > 0, e_real, params["null_turn"][None, None, :])
+    e = E[window_rows] + params["turn_offset_emb"][::-1][None, :, :]
 
     Q = e[:, T - 1, :] @ params["cross_q_W"] + params["cross_q_b"]
     K = e @ params["cross_k_W"] + params["cross_k_b"]
@@ -565,7 +566,7 @@ def _score_windows(params, config: PredictorConfig, E, window_rows, turn_mask, w
     if not want_cache:
         return p, None
     cache = {
-        "tm": tm, "e": e, "Q": Q, "K": K, "V": V, "A": A, "O": O,
+        "e": e, "Q": Q, "K": K, "V": V, "A": A, "O": O,
         "a": a, "arg": arg, "mvec": mvec, "clip_ok": clip_ok, "p": p,
     }
     return p, cache
@@ -573,10 +574,9 @@ def _score_windows(params, config: PredictorConfig, E, window_rows, turn_mask, w
 
 def _backward_batch(params, config, batch, cache, d_logit, grads):
     """Gradients of sum_i d_logit[i] * logit_i with respect to every parameter,
-    added into ``grads`` (zeroed arrays shaped like ``params``)."""
+    added into ``grads`` (arrays shaped like ``params``)."""
     B, T = batch.window_rows.shape
     D = config.embed_dim
-    tm = cache["tm"]
 
     d_logit = d_logit * cache["clip_ok"]
     grads["out_w"] += cache["mvec"].T @ d_logit
@@ -607,15 +607,10 @@ def _backward_batch(params, config, batch, cache, d_logit, grads):
         grads[name + "_b"] += dm.sum(axis=(0, 1))
         d_e += dm @ params[name + "_W"].T
 
-    # Padded slots were replaced by the null embedding; nothing downstream
-    # reads them, so their gradient, and the null embedding's, stays zero.
-    d_e_real = d_e * tm[..., None]
-    grads["null_turn"] += (d_e * (1.0 - tm[..., None])).sum(axis=(0, 1))
-    offsets = np.arange(T - 1, -1, -1)
-    np.add.at(grads["turn_offset_emb"], offsets, d_e_real.sum(axis=0))
-
+    # No output reads a padded slot, so its rows of d_e are exactly 0.
+    grads["turn_offset_emb"] += d_e.sum(axis=0)[::-1]
     d_E = np.zeros((batch.pool_size, D))
-    _scatter_add(d_E, batch.window_rows.ravel(), d_e_real.reshape(B * T, D))
+    _scatter_add(d_E, batch.window_rows.ravel(), d_e.reshape(B * T, D))
     _encode_pool_backward(params, grads, config, batch, cache["pool"], d_E)
 
 
@@ -631,7 +626,7 @@ def loss(p: float, label: float) -> float:
     return -(y * math.log(p) + (1.0 - y) * math.log(1.0 - p))
 
 
-def loss_and_grad_batch(params, config, batch: Batch, out=None, scratch=None):
+def loss_and_grad_batch(params, config, batch: Batch, out=None):
     """Mean cross-entropy over the batch and its exact gradient.
 
     Windows are processed in fixed index order, in chunks of ``_MICROBATCH``,
@@ -639,19 +634,15 @@ def loss_and_grad_batch(params, config, batch: Batch, out=None, scratch=None):
     result does not depend on the chunk size up to float rounding (the
     chunking decides the order in which gradients are summed). The gradient
     is a dict of views into one flat vector laid out as ``flat_views`` lays
-    out ``params``. ``out`` and ``scratch``, when given, are such
-    (vector, views) pairs, as ``flat_views`` returns them: the gradient
-    lands in ``out`` (overwritten), and each chunk's gradient is summed in
-    ``scratch`` first; a caller that computes many gradients hands both in
-    once instead of building them per call.
+    out ``params``. ``out``, when given, is such a (vector, views) pair, as
+    ``flat_views`` returns it: the vector is overwritten, and every chunk
+    adds its gradient straight into it; a caller that computes many
+    gradients hands it in once instead of building it per call.
     """
     n = len(batch)
-    if out is None or scratch is None:
-        shapes = {k: np.shape(v) for k, v in params.items()}
-        out = flat_views(shapes) if out is None else out
-        scratch = flat_views(shapes) if scratch is None else scratch
+    if out is None:
+        out = flat_views({k: np.shape(v) for k, v in params.items()})
     total, total_views = out
-    part, part_views = scratch
     total[...] = 0.0
     loss_sum = 0.0
     p_all = np.zeros(n)
@@ -661,9 +652,7 @@ def loss_and_grad_batch(params, config, batch: Batch, out=None, scratch=None):
         p, cache = forward_batch(params, config, sub, want_cache=True)
         y = sub.labels
         loss_sum += float(-np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
-        part[...] = 0.0
-        _backward_batch(params, config, sub, cache, p - y, part_views)
-        total += part
+        _backward_batch(params, config, sub, cache, p - y, total_views)
         p_all[idx] = p
     total /= n
     return loss_sum / n, total_views, p_all

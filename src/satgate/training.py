@@ -128,12 +128,9 @@ def adam_update(params: np.ndarray, grads: np.ndarray, m: np.ndarray, v: np.ndar
 def _session_shuffled_order(session_of_window: np.ndarray, rng) -> np.ndarray:
     """Windows in seeded-permuted session order, each session's windows kept
     contiguous so overlapping windows keep sharing turn encodings."""
-    counts = np.bincount(session_of_window)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    perm = rng.permutation(len(counts))
-    return np.concatenate(
-        [np.arange(starts[s], starts[s] + counts[s]) for s in perm if counts[s]]
-    )
+    perm = rng.permutation(len(np.bincount(session_of_window)))
+    rank = np.argsort(perm)  # each session's place in the permuted order
+    return np.argsort(rank[session_of_window], kind="stable")
 
 
 def train(
@@ -179,10 +176,8 @@ def train(
     rng = np.random.default_rng([tconfig.seed, 0xA11])
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
-    # The gradient's (vector, views) and a scratch pair for its chunks, built
-    # once and refilled by every step.
+    # The gradient's (vector, views), built once and refilled by every step.
     grads = flat_views(shapes)
-    scratch = flat_views(shapes)
     t = 0
     trace: list[TraceRow] = []
     best_auc = None
@@ -194,8 +189,7 @@ def train(
         order = _session_shuffled_order(train_ds.session_index, rng)
         for bi, start in enumerate(range(0, n, tconfig.batch_size)):
             idx = order[start : start + tconfig.batch_size]
-            batch_loss, _, _ = loss_and_grad_batch(params, config, batch.subset(idx),
-                                                   out=grads, scratch=scratch)
+            batch_loss, _, _ = loss_and_grad_batch(params, config, batch.subset(idx), out=grads)
             if not math.isfinite(batch_loss):
                 raise RuntimeError(
                     f"non-finite training loss at epoch {epoch}, batch {bi}"

@@ -225,6 +225,56 @@ def test_simulate_rejects_paired_that_is_not_a_json_boolean(workdir, labeled_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec, message", [
+    pytest.param({"threshold": "0.7"}, "simulate variants spec: 'threshold' must be a JSON number, "
+                 "got '0.7'", id="threshold-string"),
+    pytest.param({"p_fix": True}, "simulate variants spec: 'p_fix' must be a JSON number, got True",
+                 id="p_fix-boolean"),
+    pytest.param({"p_annoy": "x"}, "simulate variants spec: 'p_annoy' must be a JSON number, "
+                 "got 'x'", id="p_annoy-string"),
+    pytest.param({"variants": [{"name": "a"}, {"name": "b", "threshold": False}]},
+                 "simulate variant 'b': 'threshold' must be a JSON number, got False",
+                 id="variant-threshold-boolean"),
+])
+def test_simulate_rejects_settings_that_are_not_json_numbers(workdir, labeled_path, capsys,
+                                                             spec, message):
+    path = workdir / "bad-number.json"
+    path.write_text(json.dumps({"variants": [{"name": "a"}], **spec}))
+    out = workdir / "bad-number.csv"
+    code = dispatch(["simulate", "--corpus", str(labeled_path), "--variants", str(path),
+                     "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"satgate: error: ValueError: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_takes_json_integers_as_numbers(workdir, labeled_path):
+    path = workdir / "int-settings.json"
+    path.write_text(json.dumps({"threshold": 1, "p_fix": 1, "p_annoy": 0,
+                                "variants": [{"name": "a", "threshold": 0}]}))
+    out = workdir / "int-settings.csv"
+    assert dispatch(["simulate", "--corpus", str(labeled_path), "--variants", str(path),
+                     "--out", str(out)]) == 0
+    config = json.loads((workdir / "int-settings.csv.manifest.json").read_text())["config"]
+    assert (config["threshold"], config["p_fix"], config["p_annoy"]) == (1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("init_seed", [2.7, "3", True, -1, None])
+def test_train_rejects_init_seed_that_is_not_a_json_integer(workdir, labeled_path, capsys,
+                                                            init_seed):
+    path = workdir / "bad-init-seed.json"
+    path.write_text(json.dumps({"model_preset": "tiny", "init_seed": init_seed}))
+    out = workdir / "bad-init-seed.ckpt"
+    code = dispatch(["train", "--config", str(path), "--corpus", str(labeled_path),
+                     "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "satgate: error: ValueError: train config: 'init_seed' must be a JSON integer >= 0, "
+        f"got {init_seed!r}\n"
+    )
+    assert not out.exists()
+
+
 def test_simulate_report(workdir, ckpt_path, weak_model_path, labeled_path):
     variants = workdir / "variants.json"
     variants.write_text(json.dumps({

@@ -656,12 +656,39 @@ def test_backward_deterministic(tiny_setup):
         assert g1[key].shape == params[key].shape
 
 
-def test_backward_null_turn_gradient_zero_when_window_full(tiny_setup):
+@pytest.mark.parametrize("length", [
+    pytest.param(TINY_CONFIG.num_turns, id="full"),
+    pytest.param(2, id="short"),
+])
+def test_backward_null_turn_gradient_zero(tiny_setup, length):
     sessions, vocab, params = tiny_setup
     session = next(s for s in sessions if len(s.turns) >= TINY_CONFIG.num_turns)
-    window = list(session.turns[: TINY_CONFIG.num_turns])
+    window = list(session.turns[:length])
     grads = backward(params, TINY_CONFIG, vocab, window, 0.7)
     assert np.all(grads["null_turn"] == 0.0)
+
+
+def test_null_turn_values_change_no_score_or_gradient(tiny_setup, repeated_setup):
+    """Padded window slots need no embedding, so random null_turn values
+    leave predict_scores, forward and loss_and_grad_batch (loss, p and every
+    gradient) bit-identical."""
+    sessions, vocab, params = tiny_setup
+    batch, _ = repeated_setup
+    batch = replace(batch, labels=np.random.default_rng(2).uniform(size=len(batch)))
+    other = {k: v.copy() for k, v in params.items()}
+    other["null_turn"][...] = np.random.default_rng(3).normal(0.0, 5.0, other["null_turn"].shape)
+    windows = [s.turns[max(0, i + 1 - TINY_CONFIG.num_turns) : i + 1]
+               for s in sessions for i in range(len(s.turns))]
+
+    def run(p):
+        loss_value, grads, probs = net.loss_and_grad_batch(p, TINY_CONFIG, batch)
+        return [predict_scores(p, TINY_CONFIG, batch),
+                np.array([forward(p, TINY_CONFIG, vocab, list(w)) for w in windows]),
+                np.array(loss_value), probs, *(grads[name] for name in params)]
+
+    for name, a, b in zip(["predict_scores", "forward", "loss", "p", *params],
+                          run(params), run(other)):
+        assert a.tobytes() == b.tobytes(), name
 
 
 def _assert_backward_matches_finite_differences(params, config, vocab, window, label,
@@ -882,21 +909,35 @@ def test_predict_scores_rejects_microbatch_below_one(repeated_setup):
 def test_loss_and_grad_batch_fills_the_given_flat_buffer(repeated_setup, monkeypatch):
     """With ``out`` the gradient lands in that vector, overwriting what it
     held, and equals the gradient of a call without it bit for bit, with one
-    chunk and with several, and with a ``scratch`` pair that holds garbage."""
+    chunk and with several."""
     batch, params = repeated_setup
     shapes = {k: v.shape for k, v in params.items()}
     size = sum(v.size for v in params.values())
     for microbatch in (256, 3):
         monkeypatch.setattr(net, "_MICROBATCH", microbatch)
         _, want, _ = net.loss_and_grad_batch(params, TINY_CONFIG, batch)
-        for scratch in (None, net.flat_views(shapes, np.full(size, -3.0))):
-            out = net.flat_views(shapes, np.full(size, 7.0))
-            _, got, _ = net.loss_and_grad_batch(params, TINY_CONFIG, batch, out=out,
-                                                scratch=scratch)
-            assert got is out[1] and list(got) == list(params)
-            for name in params:
-                assert got[name].base is out[0]
-                assert got[name].tobytes() == want[name].tobytes(), name
+        out = net.flat_views(shapes, np.full(size, 7.0))
+        _, got, _ = net.loss_and_grad_batch(params, TINY_CONFIG, batch, out=out)
+        assert got is out[1] and list(got) == list(params)
+        for name in params:
+            assert got[name].base is out[0]
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_loss_and_grad_batch_does_not_depend_on_the_chunk_size(repeated_setup, monkeypatch):
+    """Chunks of 3 windows give the loss, p and every gradient of one
+    256-window chunk within 1e-12: only the summation order differs."""
+    batch, params = repeated_setup
+    batch = replace(batch, labels=np.random.default_rng(4).uniform(size=len(batch)))
+    assert 3 < len(batch) <= 256
+    want = net.loss_and_grad_batch(params, TINY_CONFIG, batch)
+    monkeypatch.setattr(net, "_MICROBATCH", 3)
+    got = net.loss_and_grad_batch(params, TINY_CONFIG, batch)
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12, err_msg="loss")
+    np.testing.assert_allclose(got[2], want[2], rtol=0, atol=1e-12, err_msg="p")
+    for name in params:
+        np.testing.assert_allclose(got[1][name], want[1][name], rtol=0, atol=1e-12,
+                                   err_msg=name)
 
 
 # --- embedding scatter ---------------------------------------------------------------

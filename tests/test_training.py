@@ -20,6 +20,7 @@ from satgate.training import (
     ADAM_EPS,
     BATCH_PRESETS,
     TrainConfig,
+    _session_shuffled_order,
     adam_update,
     inject_label_noise,
     train,
@@ -103,6 +104,22 @@ def test_flat_adam_update_equals_per_tensor_reference():
             )
     for k in shapes:
         assert params[k].tobytes() == ref[k].tobytes(), k
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_session_shuffled_order_equals_per_session_reference(seed):
+    """The order lists each session's windows contiguously, in index order,
+    with the sessions in the order of the seeded permutation; empty sessions
+    take a place in the permutation and contribute nothing."""
+    layout = np.random.default_rng(seed)
+    counts = layout.integers(0, 5, size=int(layout.integers(1, 30)))
+    counts[-1] += 1
+    session_of_window = np.repeat(np.arange(len(counts)), counts)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    perm = np.random.default_rng(seed).permutation(len(counts))
+    want = np.concatenate([np.arange(starts[s], starts[s] + counts[s]) for s in perm])
+    got = _session_shuffled_order(session_of_window, np.random.default_rng(seed))
+    assert np.array_equal(got, want)
 
 
 def test_train_accepts_params_with_a_replaced_entry(tiny_data):

@@ -13,9 +13,17 @@ be strings, and timestamps and confidences must be real numbers (not
 booleans or numeric strings); a file's label arrays must hold numbers. ``read_sessions`` hands each parsed JSON
 record straight to those constructors, so a file's tokens are converted to
 tuples once and a bad record fails with a :class:`CorpusSchemaError` naming
-its line and field. The cyclic garbage collector is paused while a file is
-parsed and built (parsed records and frozen turns hold no reference cycles),
-and the caller's collector state is restored afterwards.
+its line and field. The synthetic generator (``synth``) skips these checks
+and builds its turns and sessions with ``_unchecked``: what it emits passes
+them by construction, and a test holds it to that.
+
+Corpora are built outside the cyclic garbage collector's reach
+(``_building_corpus``): the collector is paused while a corpus is read or
+generated, and once it is built every object the process tracks is moved
+into the permanent generation with ``gc.freeze()``, so later collections
+never walk it. Records and frozen turns hold no reference cycles, so
+reference counting alone still frees a dropped corpus. The caller's
+collector state is restored afterwards.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import gc
 import json
 import numbers
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -183,12 +191,8 @@ class Session:
     def with_weak_labels(self, labels: Sequence[float]) -> "Session":
         """This session with ``labels`` as its weak labels. Only the labels
         are checked: the rest was checked when this session was built."""
-        session = object.__new__(Session)
-        for name, value in (("session_id", self.session_id), ("turns", self.turns),
-                            ("oracle_satisfaction", self.oracle_satisfaction),
-                            ("weak_labels", _check_weak_labels(labels, self.turns))):
-            object.__setattr__(session, name, value)
-        return session
+        return _unchecked(Session, self.session_id, self.turns, self.oracle_satisfaction,
+                          _check_weak_labels(labels, self.turns))
 
     def labels(self, source: str) -> tuple:
         """The per-turn "oracle" satisfaction bits or "weak" labels, else a
@@ -199,6 +203,22 @@ class Session:
         if labels is None:
             raise ValueError(f"session {self.session_id} has no {source} labels")
         return labels
+
+
+_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in (DialogueTurn, Session)}
+
+
+def _unchecked(cls, *values):
+    """A ``DialogueTurn`` or ``Session`` holding ``values``, one per field in
+    field order, built without its checks. Only for values that already pass
+    them, in the types the checks produce (tuples of ``str`` tokens, ``float``
+    times and confidences). The attributes are set in field order, as the
+    dataclass ``__init__`` sets them, so the instance keeps the class's
+    key-sharing attribute dict."""
+    obj = object.__new__(cls)
+    for name, value in zip(_FIELD_NAMES[cls], values, strict=True):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 # --- JSONL serialization -------------------------------------------------
@@ -291,18 +311,26 @@ def _labels_from_obj(obj: dict, key: str, types: set, what: str, line_no: int):
 
 
 @contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector, restoring the caller's state on exit.
+def _building_corpus():
+    """Pause the cyclic garbage collector while a corpus is built, then move
+    the built corpus out of its reach; the caller's collector state is
+    restored on exit.
 
-    Building a corpus allocates hundreds of thousands of tracked objects, and
-    the collector's periodic full collections walk all of them again as the
-    heap grows; the records and frozen turns hold no reference cycles, so
-    pausing collects nothing that would otherwise be collected.
+    A corpus is hundreds of thousands of tracked objects, and collections
+    would otherwise walk all of them again as the heap grows, during the
+    build and in every stage that follows. Its records and frozen turns hold
+    no reference cycles, so pausing collects nothing that would otherwise be
+    collected. On success ``gc.freeze()`` moves every object the process
+    tracks at that moment into the permanent generation: reference counting
+    still frees them, but the collector never walks them again, and cyclic
+    garbage present at that moment is never collected. A failed build is not
+    frozen, so its partial objects stay collectable.
     """
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         yield
+        gc.freeze()
     finally:
         if was_enabled:
             gc.enable()
@@ -316,7 +344,7 @@ def read_sessions(path) -> list[Session]:
     line and the field).
     """
     sessions = []
-    with open(path, "r", encoding="utf-8") as fh, _gc_paused():
+    with open(path, "r", encoding="utf-8") as fh, _building_corpus():
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -330,7 +358,7 @@ def read_sessions(path) -> list[Session]:
 
 def write_sessions(sessions: Iterable[Session], path) -> None:
     """Write sessions as one JSON object per line with deterministic key order."""
+    # The bytes json.dumps(obj, ensure_ascii=False) writes, from one encoder.
+    encode = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
     with open(path, "w", encoding="utf-8") as fh:
-        for session in sessions:
-            fh.write(json.dumps(_session_to_obj(session), ensure_ascii=False))
-            fh.write("\n")
+        fh.writelines(encode(_session_to_obj(session)) + "\n" for session in sessions)

@@ -10,6 +10,9 @@ their time, which is the footprint the downstream weak labeler learns from.
 
 ``CorpusConfig`` sets the seed, size, turn range, error rates and domain
 catalog; user behavior, reaction gaps and confidences are module constants.
+Turns and sessions are built without ``DialogueTurn``/``Session`` checks:
+``CorpusConfig.validate`` checks the catalog they are built from, and a test
+checks that every generated turn passes the full checks unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from scipy.special import betaincinv
 
-from .dialog import DialogueTurn, Session, tokenize
+from .dialog import DialogueTurn, Session, _building_corpus, _unchecked, tokenize
 
 __all__ = ["DomainSpec", "CorpusConfig", "generate", "generate_with_trace"]
 
@@ -331,6 +334,18 @@ class CorpusConfig:
             # A misrecognized or misparsed turn returns another item of its domain.
             if len(entry.items) < 2:
                 raise ValueError(f"domain_catalog[{i}] items must be at least 2 entries, got {len(entry.items)}")
+            # Generated turns are built unchecked, so what the catalog puts in
+            # them must already pass DialogueTurn's checks.
+            for name in ("domain_intent", "slot_key"):
+                if not isinstance(getattr(entry, name), str):
+                    raise ValueError(f"domain_catalog[{i}] {name} must be a string, got {getattr(entry, name)!r}")
+            for name in ("templates", "response_templates", "items"):
+                if not all(isinstance(text, str) for text in getattr(entry, name)):
+                    raise ValueError(f"domain_catalog[{i}] {name} must be strings")
+            for name in ("templates", "response_templates"):
+                if not all(tokenize(template.format(item=item))
+                           for template in getattr(entry, name) for item in entry.items):
+                    raise ValueError(f"domain_catalog[{i}] {name} must give every item a non-empty text")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -391,7 +406,7 @@ def _generate_session(config: CorpusConfig, index: int):
     n_target = config.turns_min + _pick(
         float(rng.random()), config.turns_max - config.turns_min + 1
     )
-    slates = rng.random((config.turns_max, _SLATE))
+    slates = rng.random((config.turns_max, _SLATE)).tolist()
 
     catalog = config.domain_catalog
     weights = np.array([entry.weight for entry in catalog], dtype=float)
@@ -451,15 +466,16 @@ def _generate_session(config: CorpusConfig, index: int):
             domain_intent = _TERMINATION_DOMAIN if error != "nlu" else catalog[
                 _domain_index(u[_U_WRONG], cumweights)
             ].domain_intent
-            turn = DialogueTurn(
-                query=query_tokens,
-                domain_intent=domain_intent,
-                slots=(),
-                result_item="session-end",
-                voice_response=tokenize("goodbye"),
-                timestamp=now,
-                asr_confidence=_beta_value(u[_U_ASR_CONF], CONFIDENCE_BETA[error, "asr"]),
-                nlu_confidence=_beta_value(u[_U_NLU_CONF], CONFIDENCE_BETA[error, "nlu"]),
+            turn = _unchecked(
+                DialogueTurn,
+                query_tokens,
+                domain_intent,
+                (),
+                "session-end",
+                tokenize("goodbye"),
+                now,
+                _beta_value(u[_U_ASR_CONF], CONFIDENCE_BETA[error, "asr"]),
+                _beta_value(u[_U_NLU_CONF], CONFIDENCE_BETA[error, "nlu"]),
             )
             turns.append(turn)
             oracle.append(1 if error == "clean" else 0)
@@ -502,15 +518,16 @@ def _generate_session(config: CorpusConfig, index: int):
         response_template = parsed.response_templates[
             _pick(u[_U_RESPONSE], len(parsed.response_templates))
         ]
-        turn = DialogueTurn(
-            query=query_tokens,
-            domain_intent=parsed.domain_intent,
-            slots=((parsed.slot_key, slot_value),),
-            result_item=result_item,
-            voice_response=tokenize(response_template.format(item=result_item)),
-            timestamp=now,
-            asr_confidence=_beta_value(u[_U_ASR_CONF], CONFIDENCE_BETA[error, "asr"]),
-            nlu_confidence=_beta_value(u[_U_NLU_CONF], CONFIDENCE_BETA[error, "nlu"]),
+        turn = _unchecked(
+            DialogueTurn,
+            query_tokens,
+            parsed.domain_intent,
+            ((parsed.slot_key, slot_value),),
+            result_item,
+            tokenize(response_template.format(item=result_item)),
+            now,
+            _beta_value(u[_U_ASR_CONF], CONFIDENCE_BETA[error, "asr"]),
+            _beta_value(u[_U_NLU_CONF], CONFIDENCE_BETA[error, "nlu"]),
         )
         satisfied = error == "clean"
         turns.append(turn)
@@ -542,11 +559,7 @@ def _generate_session(config: CorpusConfig, index: int):
             else:
                 break  # abandon
 
-    session = Session(
-        session_id=f"s{index:07d}",
-        turns=tuple(turns),
-        oracle_satisfaction=tuple(oracle),
-    )
+    session = _unchecked(Session, f"s{index:07d}", tuple(turns), tuple(oracle), None)
     return session, trace
 
 
@@ -577,8 +590,9 @@ def generate_with_trace(config: CorpusConfig) -> tuple[list[Session], list[list[
     config.validate()
     sessions: list[Session] = []
     traces: list[list[str]] = []
-    for index in range(config.num_sessions):
-        session, trace = _generate_session(config, index)
-        sessions.append(session)
-        traces.append(trace)
+    with _building_corpus():
+        for index in range(config.num_sessions):
+            session, trace = _generate_session(config, index)
+            sessions.append(session)
+            traces.append(trace)
     return sessions, traces

@@ -57,14 +57,19 @@ class TrainConfig:
     label_noise_rate: float = 0.0
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs", "eval_every"):
+        for name, low in (("batch_size", 1), ("epochs", 1), ("eval_every", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("learning_rate", "label_noise_rate"):
+            value = getattr(self, name)
+            # bool is an int subclass: True would pass for a rate of 1.
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be finite and non-negative, got {self.learning_rate!r}")
         if not (0.0 <= self.label_noise_rate <= 1.0):
-            raise ValueError("label_noise_rate must lie in [0, 1]")
+            raise ValueError(f"label_noise_rate must lie in [0, 1], got {self.label_noise_rate!r}")
 
     @classmethod
     def from_preset(cls, name: str, **overrides) -> "TrainConfig":

@@ -275,6 +275,18 @@ def test_train_rejects_init_seed_that_is_not_a_json_integer(workdir, labeled_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("seed", 2.7), ("seed", True), ("learning_rate", True)])
+def test_train_rejects_wrongly_typed_train_settings(workdir, labeled_path, capsys, key, value):
+    path = workdir / "bad-train-setting.json"
+    path.write_text(json.dumps({"model_preset": "tiny", key: value}))
+    out = workdir / "bad-train-setting.ckpt"
+    code = dispatch(["train", "--config", str(path), "--corpus", str(labeled_path),
+                     "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"satgate: error: ValueError: {key} must be ")
+    assert not out.exists()
+
+
 def test_simulate_report(workdir, ckpt_path, weak_model_path, labeled_path):
     variants = workdir / "variants.json"
     variants.write_text(json.dumps({

@@ -1,15 +1,18 @@
 import gc
 import json
+import weakref
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from satgate import synth
 from satgate.dialog import (
     CorpusParseError,
     CorpusSchemaError,
     DialogueTurn,
     Session,
+    _session_to_obj,
     read_sessions,
     tokenize,
     write_sessions,
@@ -197,8 +200,12 @@ def test_wrongly_typed_labels_are_schema_errors_naming_line_and_field(tmp_path, 
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
-@pytest.mark.parametrize("outcome", ["success", "parse-error", "schema-error"])
-def test_read_leaves_gc_state_as_the_caller_had_it(tmp_path, enabled, outcome):
+@pytest.mark.parametrize("outcome", ["success", "parse-error", "schema-error",
+                                     "generate-success", "generate-error"])
+def test_read_leaves_gc_state_as_the_caller_had_it(tmp_path, monkeypatch, enabled, outcome):
+    """Reading and generating a corpus restore the caller's collector state,
+    and a failed build freezes nothing (objects frozen before may still be
+    freed meanwhile, so the count may drop)."""
     path = tmp_path / "corpus.jsonl"
     write_sessions([Session("a", (make_turn(),)), Session("b", (make_turn(),))], path)
     good = path.read_text().splitlines()
@@ -206,18 +213,85 @@ def test_read_leaves_gc_state_as_the_caller_had_it(tmp_path, enabled, outcome):
         {"session_id": "c", "turns": [_turn_obj(query="play music")]})}.get(outcome)
     if bad is not None:
         path.write_text("\n".join([good[0], bad, good[1]]) + "\n")
+    if outcome == "generate-error":
+        build_session = synth._generate_session
+
+        def fail_second(config, index):
+            if index == 1:
+                raise RuntimeError("session 1 failed")
+            return build_session(config, index)
+
+        monkeypatch.setattr(synth, "_generate_session", fail_second)
     was_enabled = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()
+        frozen = gc.get_freeze_count()
         if outcome == "success":
             assert len(read_sessions(path)) == 2
+        elif outcome == "generate-success":
+            assert len(synth.generate(synth.CorpusConfig(num_sessions=3))) == 3
+        elif outcome == "generate-error":
+            with pytest.raises(RuntimeError, match="session 1 failed"):
+                synth.generate(synth.CorpusConfig(num_sessions=3))
+            assert gc.get_freeze_count() <= frozen
         else:
             error = CorpusParseError if outcome == "parse-error" else CorpusSchemaError
             with pytest.raises(error, match="line 2"):
                 read_sessions(path)
+            assert gc.get_freeze_count() <= frozen
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
+
+
+def test_read_corpora_are_frozen_and_freed_by_refcount(tmp_path, small_corpus):
+    """A read corpus leaves the collector's generations for the permanent
+    one, and reference counting alone frees it again: reading and dropping
+    a corpus 20 times leaves the freeze count flat, a dropped session dies
+    with the collector disabled, and a read that fails on line 2 freezes
+    nothing."""
+    path = tmp_path / "corpus.jsonl"
+    write_sessions(small_corpus, path)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(path.read_text().splitlines()[0] + "\n{not json\n")
+    read_sessions(path)  # freezes whatever the process tracked before
+    frozen = gc.get_freeze_count()
+    for _ in range(20):
+        assert len(read_sessions(path)) == len(small_corpus)
+    assert gc.get_freeze_count() == frozen
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sessions = read_sessions(path)
+        assert gc.get_freeze_count() > frozen
+        ref = weakref.ref(sessions[0])
+        del sessions
+        assert ref() is None
+        assert gc.get_freeze_count() == frozen
+        with pytest.raises(CorpusParseError, match="line 2"):
+            read_sessions(bad)
+        assert gc.get_freeze_count() == frozen
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_write_matches_per_session_json_dumps(tmp_path):
+    """The writer's bytes are one ``json.dumps(..., ensure_ascii=False)``
+    line per session, with non-ASCII tokens written as UTF-8."""
+    turns = (make_turn(query="播放 café müsic", voice_response="正在 播放 ok", timestamp=0.0,
+                       slots=(("song", ("café", "müsic")),)),
+             make_turn(timestamp=2.5, asr_confidence=1, nlu_confidence=0.125))
+    sessions = [Session("ü1", turns, oracle_satisfaction=(1, 0), weak_labels=(0.25, 1.0)),
+                Session("s2", turns[1:], weak_labels=(0.5,)),
+                Session("s3", turns[:1], oracle_satisfaction=(0,))]
+    path = tmp_path / "corpus.jsonl"
+    write_sessions(sessions, path)
+    expected = "".join(json.dumps(_session_to_obj(s), ensure_ascii=False) + "\n" for s in sessions)
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert b"\\u" not in path.read_bytes()
+    assert read_sessions(path) == sessions
 
 
 def test_tokenize():

@@ -3,6 +3,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from satgate.dialog import DialogueTurn, Session
 from satgate.synth import CorpusConfig, DomainSpec, generate, generate_with_trace
 
 
@@ -129,13 +130,42 @@ def test_from_dict_names_the_catalog_entry_missing_a_field(field):
 @pytest.mark.parametrize(
     "field, value",
     [("weight", -5.0), ("weight", 0.0), ("weight", float("nan")), ("weight", float("inf")),
-     ("templates", ()), ("response_templates", ()), ("items", ()), ("items", ("solo",))],
+     ("templates", ()), ("response_templates", ()), ("items", ()), ("items", ("solo",)),
+     ("domain_intent", 5), ("slot_key", None), ("templates", ("play {item}", b"x")),
+     ("items", ("cats", 3))],
 )
 def test_validate_names_the_catalog_entry_with_a_bad_field(field, value):
     catalog = list(CorpusConfig().domain_catalog[:3])
     catalog[2] = replace(catalog[2], **{field: value})
     with pytest.raises(ValueError, match=rf"domain_catalog\[2\] {field} must be"):
         generate(CorpusConfig(num_sessions=5, domain_catalog=tuple(catalog)))
+
+
+@pytest.mark.parametrize("field", ["templates", "response_templates"])
+def test_validate_rejects_a_template_that_leaves_an_item_without_tokens(field):
+    catalog = list(CorpusConfig().domain_catalog[:3])
+    catalog[2] = replace(catalog[2], items=("cats", " "), **{field: ("{item}",)})
+    with pytest.raises(ValueError, match=rf"domain_catalog\[2\] {field} must give every item"):
+        generate(CorpusConfig(num_sessions=5, domain_catalog=tuple(catalog)))
+
+
+def test_generated_turns_pass_full_validation_unchanged():
+    """Generated turns and sessions are built unchecked; rebuilding each
+    through the checking constructors gives an equal object whose fields
+    keep their types."""
+    config = CorpusConfig(seed=17, num_sessions=300, asr_error_rate=0.2, nlu_error_rate=0.2,
+                          user_error_rate=0.2)
+    sessions, traces = generate_with_trace(config)
+    assert {kind for trace in traces for kind in trace} == {"clean", "asr", "nlu", "user"}
+    for session in sessions:
+        for turn in session.turns:
+            values = vars(turn)
+            rebuilt = DialogueTurn(**values)
+            assert rebuilt == turn
+            assert {k: type(v) for k, v in vars(rebuilt).items()} == {k: type(v) for k, v in values.items()}
+            assert [type(key) for key, _ in turn.slots] == [str] * len(turn.slots)
+        assert Session(**vars(session)) == session
+        assert type(session.oracle_satisfaction) is tuple
 
 
 def test_catalog_override():

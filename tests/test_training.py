@@ -281,6 +281,22 @@ def test_train_config_validation():
         assert getattr(TrainConfig(**{name: np.int64(3)}), name) == 3
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", True), ("seed", 2.7), ("seed", "3"), ("seed", -1),
+    ("learning_rate", True), ("learning_rate", "0.01"),
+    ("label_noise_rate", "0.1"), ("label_noise_rate", True),
+])
+def test_train_config_rejects_wrongly_typed_fields_naming_them(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_integral_seeds_and_rates():
+    assert TrainConfig(seed=0).seed == 0
+    assert TrainConfig(seed=np.int64(7)).seed == 7
+    assert TrainConfig(learning_rate=0, label_noise_rate=1).learning_rate == 0
+
+
 def test_unknown_batch_preset_names_the_known_ones():
     with pytest.raises(ValueError, match="unknown batch_preset 'desk-xx'; known presets: "
                                          "deployed-lb, deployed-sb, desk-lb, desk-sb"):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -405,7 +406,10 @@ def _cmd_simulate(args) -> int:
 # --- parser ----------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: a spent parser is cyclic
+    garbage, which the next corpus build would freeze for good."""
     parser = argparse.ArgumentParser(
         prog="satgate",
         description="Turn-satisfaction prediction and clarification gating pipeline.",

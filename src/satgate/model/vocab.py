@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from operator import attrgetter
 from typing import Iterable
 
 from ..dialog import Session
@@ -47,20 +48,26 @@ class Vocabulary:
 
     @classmethod
     def build(cls, sessions: list[Session], vocab_size: int) -> "Vocabulary":
-        """Keep the ``vocab_size - 3`` most frequent tokens (ties by spelling)."""
+        """Keep the ``vocab_size - 3`` most frequent tokens (ties by spelling).
+
+        Each distinct token tuple and slot tuple is counted once, weighted by
+        the number of turns that hold it: corpora repeat them many times."""
+        turns = [turn for session in sessions for turn in session.turns]
+        texts = Counter(map(attrgetter("query"), turns))
+        texts.update(map(attrgetter("voice_response"), turns))
+        slots = Counter(map(attrgetter("slots"), turns))
         tok_counts: Counter = Counter()
-        dom_counts: Counter = Counter()
         key_counts: Counter = Counter()
-        item_counts: Counter = Counter()
-        for session in sessions:
-            for turn in session.turns:
-                tok_counts.update(turn.query)
-                tok_counts.update(turn.voice_response)
-                dom_counts[turn.domain_intent] += 1
-                item_counts[turn.result_item] += 1
-                for key, value in turn.slots:
-                    key_counts[key] += 1
-                    tok_counts.update(value)
+        for tokens, n in texts.items():
+            for token in tokens:
+                tok_counts[token] += n
+        for pairs, n in slots.items():
+            for key, value in pairs:
+                key_counts[key] += n
+                for token in value:
+                    tok_counts[token] += n
+        dom_counts = Counter(map(attrgetter("domain_intent"), turns))
+        item_counts = Counter(map(attrgetter("result_item"), turns))
         return cls(
             tokens=_ranked(tok_counts, cap=max(vocab_size - _RESERVED, 0)),
             domains=_ranked(dom_counts),

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 from dataclasses import asdict
 
@@ -71,6 +72,29 @@ def test_unknown_subcommand_is_usage_error():
 
 def test_missing_required_flag_is_usage_error():
     assert dispatch(["gen-corpus"]) == 2
+
+
+def test_repeated_dispatch_does_not_grow_the_permanent_generation(tmp_path, corpus_path):
+    """Each corpus build freezes all the garbage the process holds, so a
+    command that left its parser behind as cyclic garbage would grow the
+    permanent generation with every later build. With the collector off,
+    five more failing commands, each followed by a read, leave it flat."""
+    fail = ["label", "--model", str(tmp_path / "missing.json"), "--in", str(corpus_path),
+            "--out", str(tmp_path / "labeled.jsonl")]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(2):  # builds the parser and fills lazy caches
+            assert dispatch(fail) == 1
+            read_sessions(corpus_path)
+        frozen = gc.get_freeze_count()
+        for _ in range(5):
+            assert dispatch(fail) == 1
+            read_sessions(corpus_path)
+        assert gc.get_freeze_count() == frozen
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_gen_corpus_deterministic_rerun(workdir, corpus_path):

@@ -1,12 +1,13 @@
 import gc
 import json
+import sys
 import weakref
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satgate import synth
+from satgate import dialog, synth
 from satgate.dialog import (
     CorpusParseError,
     CorpusSchemaError,
@@ -216,10 +217,10 @@ def test_read_leaves_gc_state_as_the_caller_had_it(tmp_path, monkeypatch, enable
     if outcome == "generate-error":
         build_session = synth._generate_session
 
-        def fail_second(config, index):
+        def fail_second(config, index, *rest):
             if index == 1:
                 raise RuntimeError("session 1 failed")
-            return build_session(config, index)
+            return build_session(config, index, *rest)
 
         monkeypatch.setattr(synth, "_generate_session", fail_second)
     was_enabled = gc.isenabled()
@@ -344,3 +345,136 @@ def test_session_validation():
         Session("s", (t0,), weak_labels=(1.5,))
     with pytest.raises(ValueError):
         Session("s", (t0,), oracle_satisfaction=(2,))
+
+
+def _unshared_read(path):
+    """The sessions of a JSONL file, each turn built by the checking
+    constructor from its own parsed values: no value shared between turns."""
+    sessions = []
+    for line in path.read_text().splitlines():
+        obj = json.loads(line)
+        sessions.append(Session(obj["session_id"], tuple(DialogueTurn(**t) for t in obj["turns"]),
+                                obj.get("oracle_satisfaction"), obj.get("weak_labels")))
+    return sessions
+
+
+def _held_once(sessions):
+    """Whether each distinct query, response, slot tuple, domain-intent,
+    result item and string inside them is one object across ``sessions``."""
+    turns = [t for s in sessions for t in s.turns]
+    strings = [tok for t in turns for tok in t.query + t.voice_response]
+    strings += [t.domain_intent for t in turns] + [t.result_item for t in turns]
+    strings += [x for t in turns for key, value in t.slots for x in (key, *value)]
+    groups = [[t.query for t in turns] + [t.voice_response for t in turns],
+              [t.slots for t in turns], strings]
+    return all(len({id(v) for v in group}) == len(set(group)) for group in groups)
+
+
+@pytest.mark.parametrize("source", ["generated", "read"])
+def test_corpora_hold_each_distinct_value_once(tmp_path, source):
+    """A generated or read corpus holds one object per distinct token tuple,
+    slot tuple and string, and equals the same corpus rebuilt unshared."""
+    corpus = synth.generate(synth.CorpusConfig(seed=3, num_sessions=300, asr_error_rate=0.2,
+                                               nlu_error_rate=0.2, user_error_rate=0.2))
+    path = tmp_path / "corpus.jsonl"
+    write_sessions(corpus, path)
+    sessions = corpus if source == "generated" else read_sessions(path)
+    unshared = _unshared_read(path)
+    assert not _held_once(unshared)
+    assert _held_once(sessions)
+    assert sessions == unshared
+    assert [[list(map(type, vars(t).values())) for t in s.turns] for s in sessions] == \
+        [[list(map(type, vars(t).values())) for t in s.turns] for s in unshared]
+
+
+def test_shared_values_vouch_only_for_their_own_kind(tmp_path):
+    """A slot value may be empty or hold an empty token, a query may not:
+    the same list read first as a slot value still fails as a query or a
+    response, and a string fails even after its characters were read as a
+    token list. Each bad record repeats the good one but for that field."""
+    good = _turn_obj(query=["p", "l", "a", "y"], slots=[["song", []], ["album", [""]]])
+    cases = [("query", []), ("query", [""]), ("voice_response", [""]), ("query", "play")]
+    for field, value in cases:
+        path = tmp_path / "kinds.jsonl"
+        path.write_text(json.dumps({"session_id": "a", "turns": [good]}) + "\n"
+                        + json.dumps({"session_id": "b", "turns": [{**good, field: value}]}) + "\n")
+        with pytest.raises(CorpusSchemaError, match=f"line 2: .*{field}"):
+            read_sessions(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("timestamp", -1.0), ("timestamp", True), ("timestamp", "3"), ("asr_confidence", 1.5),
+    ("asr_confidence", "0.5"), ("nlu_confidence", False), ("nlu_confidence", -0.25),
+])
+def test_repeated_turn_with_a_bad_number_fails_as_a_new_one(tmp_path, field, value):
+    """A record whose token lists and strings repeat an earlier record's is
+    still checked for its timestamp and confidences: it fails naming its
+    line and field, with the message it gets when nothing came before."""
+    bad = json.dumps({"session_id": "b", "turns": [_turn_obj(**{field: value})]})
+    repeated, first = tmp_path / "repeated.jsonl", tmp_path / "first.jsonl"
+    repeated.write_text(json.dumps({"session_id": "a", "turns": [_turn_obj()]}) + "\n" + bad + "\n")
+    first.write_text(bad + "\n")
+    with pytest.raises(CorpusSchemaError, match=f"line 2: invalid turn: {field}") as info:
+        read_sessions(repeated)
+    assert info.value.line_no == 2
+    with pytest.raises(CorpusSchemaError) as alone:
+        read_sessions(first)
+    assert str(info.value) == str(alone.value).replace("line 1:", "line 2:", 1)
+
+
+@pytest.mark.parametrize("source", ["generated", "read"])
+def test_dropped_corpus_leaves_no_shared_value_behind(tmp_path, source):
+    """Once a corpus is dropped, nothing else holds its shared values, with
+    the collector disabled: its most repeated query's only reference is the
+    test's own (a tuple cannot be weakly referenced, so its count is
+    compared with that of a fresh tuple)."""
+    path = tmp_path / "corpus.jsonl"
+    write_sessions(synth.generate(synth.CorpusConfig(seed=5, num_sessions=50)), path)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sessions = (synth.generate(synth.CorpusConfig(seed=5, num_sessions=50))
+                    if source == "generated" else read_sessions(path))
+        queries = [t.query for s in sessions for t in s.turns]
+        query = max(queries, key=queries.count)
+        fresh = tuple(list(query))
+        assert sum(q is query for q in queries) > 1
+        del queries
+        del sessions
+        assert sys.getrefcount(query) == sys.getrefcount(fresh)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_failed_read_keeps_nothing_behind(tmp_path, monkeypatch):
+    """A read that fails on line 3 frees its table and the sessions it built
+    by reference counting alone, once the error is dropped."""
+    refs = []
+
+    class Table(dialog._SharedValues):
+        def __init__(self):
+            super().__init__()
+            refs.append(weakref.ref(self))
+
+    build_session = dialog._session_from_obj
+
+    def recorded(*args):
+        session = build_session(*args)
+        refs.append(weakref.ref(session))
+        return session
+
+    monkeypatch.setattr(dialog, "_SharedValues", Table)
+    monkeypatch.setattr(dialog, "_session_from_obj", recorded)
+    path = tmp_path / "bad.jsonl"
+    _write_records(path, _turn_obj(), _turn_obj(timestamp=-1.0))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with pytest.raises(CorpusSchemaError, match="line 3"):
+            read_sessions(path)
+        assert len(refs) == 3  # the table and two sessions
+        assert all(ref() is None for ref in refs)
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 import os
 import sys
 import threading
@@ -1177,6 +1178,52 @@ def test_vocab_build_caps_and_reserved_ids(small_corpus):
     assert PAD_ID == 0 and AGG_ID == 2
     known = vocab.tokens[0]
     assert vocab.token_id(known) >= 3
+
+
+def _per_turn_vocab(sessions, vocab_size):
+    """The vocabulary as a per-turn count of every token and symbol gives it."""
+    tokens, domains, keys, items = Counter(), Counter(), Counter(), Counter()
+    for session in sessions:
+        for turn in session.turns:
+            tokens.update(turn.query)
+            tokens.update(turn.voice_response)
+            domains[turn.domain_intent] += 1
+            items[turn.result_item] += 1
+            for key, value in turn.slots:
+                keys[key] += 1
+                tokens.update(value)
+
+    def ranked(counts):
+        return [k for k, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
+
+    return {"tokens": ranked(tokens)[: max(vocab_size - 3, 0)], "domains": ranked(domains),
+            "slot_keys": ranked(keys), "items": ranked(items)}, tokens
+
+
+def test_vocab_counts_shared_tuples_like_every_turn(small_corpus):
+    """Counting each distinct token tuple once, weighted by the turns that
+    hold it, ranks as a per-turn count does, ties and caps inside a tie
+    included; equal tuples need not be one object."""
+    def turn(query, response, slots, domain, item):
+        return make_turn(query=query, voice_response=response, slots=slots,
+                         domain_intent=domain, result_item=item)
+
+    def a():
+        return turn("b a", "c d", (("k", ("e",)),), "d2", "i2")
+
+    def b():
+        return turn("e", "d c a b", (("j", ()),), "d1", "i1")
+
+    def c():
+        return turn("c d", "b a e", (("k", ("a",)), ("j", ("b",))), "d1", "i2")
+
+    sessions = [Session("s0", (a(), b())), Session("s1", (c(), b(), a())), Session("s2", (a(), c()))]
+    for corpus in (sessions, small_corpus):
+        for vocab_size in range(3, 12):
+            expected, _ = _per_turn_vocab(corpus, vocab_size)
+            assert Vocabulary.build(corpus, vocab_size).to_dict() == expected
+    _, counts = _per_turn_vocab(sessions, 3)
+    assert len(set(counts.values())) < len(counts)  # the hand-made corpus has ties
 
 
 def test_vocab_deterministic(small_corpus):

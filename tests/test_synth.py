@@ -3,6 +3,9 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from scipy.special import betaincinv
+
+from satgate import synth
 from satgate.dialog import DialogueTurn, Session
 from satgate.synth import CorpusConfig, DomainSpec, generate, generate_with_trace
 
@@ -166,6 +169,24 @@ def test_generated_turns_pass_full_validation_unchanged():
             assert [type(key) for key, _ in turn.slots] == [str] * len(turn.slots)
         assert Session(**vars(session)) == session
         assert type(session.oracle_satisfaction) is tuple
+
+
+def test_vector_confidences_equal_scalar_calls_bit_for_bit():
+    """A session's confidences come from one elementwise ``betaincinv`` call;
+    each equals the scalar call on its own draw to the last bit, for every
+    error kind and at the ends of the draw range."""
+    errors = ["clean", "asr", "nlu", "user"] * 40
+    u = np.random.default_rng(4).random((len(errors), synth._SLATE))
+    u[:4, [synth._U_ASR_CONF, synth._U_NLU_CONF]] = [
+        [0.0, 5e-324], [1.0 - 2**-53, 0.5], [2**-30, 1.0 - 2**-20], [1e-12, 0.999999]]
+    expected = []
+    for row, error in zip(u, errors):
+        for which, column in (("asr", synth._U_ASR_CONF), ("nlu", synth._U_NLU_CONF)):
+            mean, conc = synth.CONFIDENCE_BETA[error, which]
+            expected.append(float(betaincinv(mean * conc, (1.0 - mean) * conc, float(row[column]))))
+    got = synth._confidences(u, errors)
+    assert [type(v) for v in got] == [float] * len(expected)
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
 
 
 def test_catalog_override():

@@ -51,6 +51,23 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _manifest_json(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for string-keyed dicts,
+    joined from the C encoder's one-line text of each leaf and empty
+    container. json's indenting encoder is pure Python and leaves each call's
+    closures behind as cyclic garbage, which the next corpus build would
+    freeze for good (``dialog``)."""
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        items = [f"{inner}{json.dumps(key)}: {_manifest_json(value, inner)}"
+                 for key, value in sorted(obj.items())]
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if isinstance(obj, (list, tuple)) and obj:
+        items = [inner + _manifest_json(value, inner) for value in obj]
+        return "[\n" + ",\n".join(items) + f"\n{indent}]"
+    return json.dumps(obj)
+
+
 def _write_manifest(subcommand, primary_output, config, inputs, outputs, seed):
     manifest = {
         "subcommand": subcommand,
@@ -62,8 +79,7 @@ def _write_manifest(subcommand, primary_output, config, inputs, outputs, seed):
     path = str(primary_output) + ".manifest.json"
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_manifest_json(manifest) + "\n")
     os.replace(tmp, path)
 
 

@@ -1,12 +1,17 @@
 """Evaluation metrics: ranking quality, recall under a precision floor, and
-contextual user satisfaction for clarification turns."""
+contextual user satisfaction for clarification turns.
+
+Scores must be finite: a NaN or infinite score fails with a ``ValueError``
+naming its index. AUC ranks the scores with a numpy average-rank helper, not
+scipy, so importing this module (and ``training`` or ``cli``, which import
+it) loads no scipy module; its ranks are the doubles of
+``scipy.stats.rankdata``, so every AUC is the same to the last bit."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 __all__ = [
     "UndefinedMetricError",
@@ -33,7 +38,24 @@ def _scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("scores and labels must be 1-d sequences of equal length")
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("labels must be 0 or 1")
+    bad = np.flatnonzero(~np.isfinite(s))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"scores must be finite; score {i} is {float(s[i])!r}")
     return s, y.astype(np.int64)
+
+
+def _average_ranks(s: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``s``, each group of tied scores given the mean of
+    its ranks, (start + end + 1) / 2 over its sorted positions [start, end).
+    These are integers or exact halves: the doubles ``rankdata`` returns."""
+    order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(s)]
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def auc(scores, labels) -> float:
@@ -47,7 +69,7 @@ def auc(scores, labels) -> float:
     n_neg = int(len(y) - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs at least one positive and one negative")
-    ranks = rankdata(s)  # average ranks resolve ties as half-credit
+    ranks = _average_ranks(s)  # average ranks resolve ties as half-credit
     rank_sum_pos = float(ranks[y == 1].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -134,11 +134,20 @@ def _build(
     content key once (in order of first appearance). Returns the batch, with
     zero labels, and each window's turn index within its session."""
     rows: dict[tuple, int] = {}
+    # Pool row by the turn fields ``_content_key`` reads, so a turn that
+    # repeats them skips its vocabulary lookups; a built corpus shares equal
+    # values (``dialog``), which then compare by identity.
+    seen: dict[tuple, int] = {}
     turn_rows: list[int] = []
     turn_index: list[int] = []
     for turns in sessions:
         for turn in turns:
-            turn_rows.append(rows.setdefault(_content_key(turn, vocab, config), len(rows)))
+            content = (turn.query, turn.voice_response, turn.slots, turn.domain_intent,
+                       turn.result_item)
+            row = seen.get(content)
+            if row is None:
+                row = seen[content] = rows.setdefault(_content_key(turn, vocab, config), len(rows))
+            turn_rows.append(row)
         turn_index.extend(range(len(turns)))
 
     # Window slot j holds the turn ``back[j]`` turns before the window's own,

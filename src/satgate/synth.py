@@ -18,7 +18,8 @@ tuples and catalog strings go through the build's table (``dialog``), so a
 10k-session corpus holds about 11 MB instead of 43 MB. Object identity is
 not part of the API. A session's confidences come from one elementwise
 ``betaincinv`` call over its turns, which gives the doubles of one call per
-value.
+value. ``scipy.special`` is imported once per ``generate_with_trace`` call,
+not with this module, so only corpus generation loads scipy.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numbers
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
 import numpy as np
-from scipy.special import betaincinv
 
 from .dialog import (
     DialogueTurn,
@@ -413,10 +413,11 @@ _BETA_SHAPE = {
 }
 
 
-def _confidences(u: np.ndarray, errors: list[str]) -> list[float]:
+def _confidences(u: np.ndarray, errors: list[str], betaincinv) -> list[float]:
     """The ASR and NLU confidences of turns with draw slates ``u`` (one row
     per turn) and error kinds ``errors``, interleaved per turn, from one
-    elementwise ``betaincinv`` call: the doubles of one call per value."""
+    elementwise call of scipy's ``betaincinv``: the doubles of one call per
+    value."""
     a, b = zip(*[_BETA_SHAPE[error, which] for error in errors for which in ("asr", "nlu")])
     return betaincinv(a, b, u[:, [_U_ASR_CONF, _U_NLU_CONF]].ravel()).tolist()
 
@@ -431,7 +432,7 @@ def _domain_index(u: float, cumweights: list[float]) -> int:
 
 
 def _generate_session(config: CorpusConfig, index: int, cumweights: list[float],
-                      shared: _SharedValues):
+                      shared: _SharedValues, betaincinv):
     """Session ``index`` and its turns' error kinds, built from ``shared``
     values; ``cumweights`` are the catalog's cumulative weights."""
     rng = np.random.default_rng([config.seed, index])
@@ -451,7 +452,7 @@ def _generate_session(config: CorpusConfig, index: int, cumweights: list[float],
         else "clean"
         for uc in draws[:n_target, _U_CORRUPT].tolist()
     ]
-    confidences = _confidences(draws[:n_target], errors)
+    confidences = _confidences(draws[:n_target], errors, betaincinv)
     tokens, string = shared.tokens, shared.string
 
     turns: list[DialogueTurn] = []
@@ -614,12 +615,14 @@ def generate(config: CorpusConfig) -> list[Session]:
 def generate_with_trace(config: CorpusConfig) -> tuple[list[Session], list[list[str]]]:
     """Like :func:`generate` but also return per-turn error kinds for auditing."""
     config.validate()
+    from scipy.special import betaincinv
+
     sessions: list[Session] = []
     traces: list[list[str]] = []
     cumweights = _cumulative_weights(config.domain_catalog)
     with _building_corpus() as shared:
         for index in range(config.num_sessions):
-            session, trace = _generate_session(config, index, cumweights, shared)
+            session, trace = _generate_session(config, index, cumweights, shared, betaincinv)
             sessions.append(session)
             traces.append(trace)
     return sessions, traces

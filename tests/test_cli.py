@@ -97,6 +97,55 @@ def test_repeated_dispatch_does_not_grow_the_permanent_generation(tmp_path, corp
             gc.enable()
 
 
+def test_repeated_successful_dispatch_does_not_grow_the_permanent_generation(tmp_path,
+                                                                             workdir, corpus_path):
+    """A successful command writes a manifest, and its next corpus build
+    freezes whatever garbage the process holds: with the collector off, five
+    more ``gen-corpus`` runs, each building a corpus and writing a manifest,
+    leave the permanent generation flat."""
+    run = ["gen-corpus", "--config", str(workdir / "corpus.json"), "--out", str(tmp_path / "c.jsonl")]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(2):  # builds the parser and fills lazy caches
+            assert dispatch(run) == 0
+        frozen = gc.get_freeze_count()
+        for _ in range(5):
+            assert dispatch(run) == 0
+        assert gc.get_freeze_count() == frozen
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_every_manifest_is_indented_sorted_json(tmp_path, workdir, corpus_path, weak_model_path,
+                                               labeled_path, ckpt_path):
+    """Each subcommand's manifest holds the bytes of ``json.dumps(manifest,
+    indent=2, sort_keys=True)`` and a newline."""
+    variants = tmp_path / "variants.json"
+    variants.write_text(json.dumps({"threshold": 0.7, "variants": [
+        {"name": "no-predictor", "kind": "none"},
+        {"name": "feature-baseline", "kind": "weak", "model": str(weak_model_path)},
+        {"name": "transformer", "kind": "transformer", "ckpt": str(ckpt_path)},
+    ]}))
+    for argv in (
+        ["extract-features", "--in", corpus_path, "--out", tmp_path / "features.csv"],
+        ["eval", "--ckpt", ckpt_path, "--corpus", corpus_path, "--report", tmp_path / "eval.csv"],
+        ["simulate", "--corpus", labeled_path, "--variants", variants,
+         "--out", tmp_path / "sim.csv", "--seed", "5"],
+    ):
+        assert dispatch(list(map(str, argv))) == 0
+    paths = sorted(workdir.glob("*.manifest.json")) + sorted(tmp_path.glob("*.manifest.json"))
+    subcommands = set()
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        manifest = json.loads(text)
+        subcommands.add(manifest["subcommand"])
+        assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n", path.name
+    assert {"gen-corpus", "train-weak", "label", "train", "extract-features", "eval",
+            "simulate"} <= subcommands
+
+
 def test_gen_corpus_deterministic_rerun(workdir, corpus_path):
     again = workdir / "corpus2.jsonl"
     config = workdir / "corpus.json"

@@ -104,6 +104,33 @@ def test_auc_invariant_under_monotone_transforms(seed, kind):
     assert abs(auc(scores, labels) - auc(transformed, labels)) < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["tied", "untied", "constant"])
+def test_auc_equals_the_rankdata_formula_bit_for_bit(rng, kind):
+    """The numpy average ranks are rankdata's doubles, so AUC is unchanged to
+    the last bit."""
+    from scipy.stats import rankdata
+
+    for _ in range(50):
+        scores, labels = _random_instance(rng)
+        if kind == "untied":
+            scores = rng.permutation(len(scores)) / len(scores) + rng.uniform(0, 1e-3)
+        elif kind == "constant":
+            scores = np.full(len(scores), float(rng.uniform(0, 1)))
+        n_pos = int(labels.sum())
+        n_neg = len(labels) - n_pos
+        want = (float(rankdata(scores)[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        assert auc(scores, labels).hex() == want.hex()
+
+
+@pytest.mark.parametrize("metric", [auc, cla, accuracy_with_tuned_threshold, precision_recall_table])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_score_fails_naming_its_index(metric, bad):
+    scores = [0.2, 0.9, 0.4, 0.7]
+    scores[2] = bad
+    with pytest.raises(ValueError, match=rf"score 2 is {bad!r}"):
+        metric(scores, [0, 1, 0, 1])
+
+
 # --- cla ----------------------------------------------------------------------
 
 

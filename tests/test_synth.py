@@ -184,7 +184,7 @@ def test_vector_confidences_equal_scalar_calls_bit_for_bit():
         for which, column in (("asr", synth._U_ASR_CONF), ("nlu", synth._U_NLU_CONF)):
             mean, conc = synth.CONFIDENCE_BETA[error, which]
             expected.append(float(betaincinv(mean * conc, (1.0 - mean) * conc, float(row[column]))))
-    got = synth._confidences(u, errors)
+    got = synth._confidences(u, errors, betaincinv)
     assert [type(v) for v in got] == [float] * len(expected)
     assert [v.hex() for v in got] == [v.hex() for v in expected]
 

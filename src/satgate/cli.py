@@ -51,23 +51,6 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _manifest_json(obj, indent: str = "") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` for string-keyed dicts,
-    joined from the C encoder's one-line text of each leaf and empty
-    container. json's indenting encoder is pure Python and leaves each call's
-    closures behind as cyclic garbage, which the next corpus build would
-    freeze for good (``dialog``)."""
-    inner = indent + "  "
-    if isinstance(obj, dict) and obj:
-        items = [f"{inner}{json.dumps(key)}: {_manifest_json(value, inner)}"
-                 for key, value in sorted(obj.items())]
-        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
-    if isinstance(obj, (list, tuple)) and obj:
-        items = [inner + _manifest_json(value, inner) for value in obj]
-        return "[\n" + ",\n".join(items) + f"\n{indent}]"
-    return json.dumps(obj)
-
-
 def _write_manifest(subcommand, primary_output, config, inputs, outputs, seed):
     manifest = {
         "subcommand": subcommand,
@@ -79,7 +62,7 @@ def _write_manifest(subcommand, primary_output, config, inputs, outputs, seed):
     path = str(primary_output) + ".manifest.json"
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(_manifest_json(manifest) + "\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     os.replace(tmp, path)
 
 
@@ -424,8 +407,10 @@ def _cmd_simulate(args) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process: a spent parser is cyclic
-    garbage, which the next corpus build would freeze for good."""
+    """The CLI parser, built once per process: the parser of a command that
+    builds a corpus is alive during the build, so the build freezes it, and
+    a parser built per command would add one to the permanent generation
+    with every build."""
     parser = argparse.ArgumentParser(
         prog="satgate",
         description="Turn-satisfaction prediction and clarification gating pipeline.",

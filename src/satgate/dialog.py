@@ -31,12 +31,12 @@ as long as the build. Object identity is not part of the API: two turns'
 equal values may or may not be one object.
 
 Corpora are built outside the cyclic garbage collector's reach
-(``_building_corpus``): the collector is paused while a corpus is read or
-generated, and once it is built every object the process tracks is moved
-into the permanent generation with ``gc.freeze()``, so later collections
-never walk it. Records and frozen turns hold no reference cycles, so
-reference counting alone still frees a dropped corpus. The caller's
-collector state is restored afterwards.
+(``_building_corpus``): garbage is collected, the collector is paused while
+a corpus is read or generated, and once it is built every object the
+process tracks is moved into the permanent generation with ``gc.freeze()``,
+so later collections never walk it. Records and frozen turns hold no
+reference cycles, so reference counting alone still frees a dropped corpus.
+The caller's collector state is restored afterwards.
 """
 
 from __future__ import annotations
@@ -437,13 +437,16 @@ def _building_corpus():
     would otherwise walk all of them again as the heap grows, during the
     build and in every stage that follows. Its records and frozen turns hold
     no reference cycles, so pausing collects nothing that would otherwise be
-    collected. On success ``gc.freeze()`` moves every object the process
-    tracks at that moment into the permanent generation: reference counting
-    still frees them, but the collector never walks them again, and cyclic
-    garbage present at that moment is never collected. A failed build is not
-    frozen, so its partial objects stay collectable.
+    collected. A build starts with ``gc.collect()``, also when the caller
+    has disabled the collector, so the cyclic garbage the process holds is
+    freed rather than frozen. On success ``gc.freeze()`` moves every object
+    the process tracks at that moment into the permanent generation:
+    reference counting still frees them, but the collector never walks them
+    again. A failed build is not frozen, so its partial objects stay
+    collectable.
     """
     was_enabled = gc.isenabled()
+    gc.collect()
     gc.disable()
     try:
         yield _SharedValues()

@@ -17,7 +17,7 @@ import struct
 import numpy as np
 
 from .config import PredictorConfig
-from .net import flat_views, param_shapes
+from .net import LoadedParams, flat_views, param_shapes
 from .vocab import Vocabulary
 
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError"]
@@ -59,16 +59,17 @@ def save_checkpoint(path, config: PredictorConfig, vocab: Vocabulary, params: di
             fh.write(blob)
 
 
-def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, dict]:
+def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, LoadedParams]:
     """Config, vocabulary and parameters. The payload is read straight into
     one flat vector, and the parameters are views into it in the file's
     tensor order (``flat_views``); a tensor that does not start where the
     one before it ends, or that the file ends inside, is a ``CheckpointError``.
 
-    The vector, and so every view, is read-only: an in-place write raises
-    ``ValueError``. Loaded weights cannot change under ``net.forward``, which
-    therefore reuses the turn embeddings of its previous window; ``train``
-    copies them into a vector of its own."""
+    The parameters come as a read-only mapping (``net.LoadedParams``) over
+    read-only views: an entry cannot be replaced, and an in-place write
+    raises ``ValueError``. Loaded weights thus cannot change under
+    ``net.forward``, which keeps the turn embeddings of the model's previous
+    window on the mapping; ``train`` copies them into a vector of its own."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -104,7 +105,7 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, dict]:
             )
     flat.flags.writeable = False
     _, params = flat_views({name: shape for name, shape, _ in tensors}, flat)
-    return config, vocab, params
+    return config, vocab, LoadedParams(params)
 
 
 def _parse_header(raw_header: bytes):

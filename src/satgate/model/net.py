@@ -35,18 +35,17 @@ The single-window ``forward`` that a gate calls per decision carries the
 previous call's turn embeddings over to the next call (at most
 ``num_turns`` rows, keyed by content) and encodes only the contents they
 lack, so a session replayed turn by turn encodes one row per decision.
-It reuses rows only for read-only parameter arrays, as ``load_checkpoint``
-returns them, that are the same objects as on the previous call, with the
-same config and vocabulary; writable parameters, and interleaved sessions,
-get no reuse. A reused row was encoded in another pool than
-``predict_scores`` encodes it in, so a decision equals ``predict_scores``
-within 1e-12 rather than bit for bit.
+The rows live on the loaded model (``LoadedParams``, as ``load_checkpoint``
+returns it), so each loaded model keeps its own previous window; any other
+parameters, and interleaved sessions of one model, get no reuse. A reused
+row was encoded in another pool than ``predict_scores`` encodes it in, so a
+decision equals ``predict_scores`` within 1e-12 rather than bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -57,6 +56,7 @@ from .data import Batch, _content_key, _pool_batch, encode_window
 from .vocab import Vocabulary
 
 __all__ = [
+    "LoadedParams",
     "init_params",
     "param_shapes",
     "flat_views",
@@ -687,31 +687,41 @@ def predict_scores(params, config, batch: Batch, microbatch: int = 1024) -> np.n
 # --- single-window public operations --------------------------------------
 
 
-# The previous ``forward`` call's model and turn embeddings: weak references to
-# its config, vocabulary and parameter arrays, and its window's content keys
-# (``data._content_key``) mapped to their embeddings. Replaced by every call;
-# empty after a call with writable parameters. A call reads it once and
-# replaces it whole, and checks the model against the same snapshot, so
-# concurrent calls can lose reuse but never read another model's rows.
-_last_window: tuple[tuple, dict] = ((), {})
+class LoadedParams(Mapping):
+    """A loaded model's read-only parameter arrays by name, which no caller
+    can replace, and the memo of its last ``forward`` call: ``last_window``
+    is that call's config and its window's content keys
+    (``data._content_key``) mapped to their turn embeddings. A call reads it
+    once and replaces it whole, so concurrent calls can lose reuse but never
+    read a half-written memo."""
+
+    __slots__ = ("_arrays", "last_window")
+
+    def __init__(self, arrays: dict):
+        self._arrays = arrays
+        self.last_window = (None, {})
+
+    def __getitem__(self, name):
+        return self._arrays[name]
+
+    def __iter__(self):
+        return iter(self._arrays)
+
+    def __len__(self):
+        return len(self._arrays)
 
 
 def forward(params, config, vocab: Vocabulary, window: list[DialogueTurn]) -> float:
     """Satisfaction probability for the last turn of the window.
 
     A turn's embedding does not depend on the other turns of its window, so
-    a call reuses the embeddings of the previous call's window: it encodes
-    only the contents that window did not hold, as one pool, and scores the
-    window over the embeddings (``_score_windows``). A gate that replays a
-    session turn by turn thus encodes one turn per decision. Reuse holds
-    only while the weights cannot change: every parameter array must be
-    read-only, as ``load_checkpoint`` returns them, and the same object as
-    on the previous call, with the same config and vocabulary. Otherwise,
-    and always for writable parameters (``init_params``, ``train``), the
-    call encodes its whole window as one pool. The memo
-    holds at most ``num_turns`` rows, and the arrays only by weak
-    reference, so it keeps no replaced model alive. Interleaved sessions get
-    no reuse: the memo holds the previous call's window alone.
+    a call on ``LoadedParams`` encodes, as one pool, only the contents that
+    the model's previous window under the same config did not hold, and
+    scores the window over the embeddings (``_score_windows``). A gate that
+    replays a session turn by turn thus encodes one turn per decision, with
+    one memo per loaded model; interleaved sessions of one model get no
+    reuse. Other params (``init_params``, ``train``, a plain dict) encode
+    the whole window on every call.
 
     A row's bits can depend on which rows were encoded with it (the length
     bucket it is trimmed to, and BLAS's threading of the 2-D products), so
@@ -722,16 +732,13 @@ def forward(params, config, vocab: Vocabulary, window: list[DialogueTurn]) -> fl
     first call applies ``keep_working_memory_mapped`` (as ``training.train``
     does) and later calls reuse the working memory the last one freed; the
     setting persists for the rest of the process."""
-    global _last_window
     keep_working_memory_mapped()
     T = config.num_turns
     if not (1 <= len(window) <= T):
         raise ValueError(f"window must hold between 1 and {T} turns, got {len(window)}")
-    model = (config, vocab, *params.values())
-    frozen = all(isinstance(a, np.ndarray) and not a.flags.writeable for a in params.values())
-    refs, memo = _last_window
-    if not (frozen and len(refs) == len(model) and all(r() is x for r, x in zip(refs, model))):
-        refs = tuple(weakref.ref(x) for x in model) if frozen else ()
+    loaded = isinstance(params, LoadedParams)
+    last_config, memo = params.last_window if loaded else (None, {})
+    if last_config != config:
         memo = {}
 
     keys = [_content_key(turn, vocab, config) for turn in window]
@@ -741,7 +748,8 @@ def forward(params, config, vocab: Vocabulary, window: list[DialogueTurn]) -> fl
         E_missed, _ = _encode_pool(params, config, _pool_batch(missed, config), want_cache=False)
         memo = {**memo, **dict(zip(missed, E_missed))}
     E = np.stack([memo[k] for k in distinct])
-    _last_window = (refs, dict(zip(distinct, E))) if frozen else ((), {})
+    if loaded:
+        params.last_window = (config, dict(zip(distinct, E)))
 
     row = {k: i for i, k in enumerate(distinct)}
     window_rows = np.zeros((1, T), dtype=np.int64)

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 import json
+import sys
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "FeatureExtractor",
     "WeakLabelModel",
     "DegenerateDataError",
+    "WeakModelError",
     "train_weak_labeler",
     "weak_label_many",
     "label_corpus",
@@ -88,6 +90,51 @@ ABSENT_NEXT_TIME_DIFF = 300.0
 
 class DegenerateDataError(ValueError):
     """Training labels contain a single class; no decision boundary exists."""
+
+
+class WeakModelError(ValueError):
+    """A weak-model file that does not hold what ``save_weak_model`` writes.
+    ``field`` names the offending field as a dotted path (``bias``,
+    ``weights[3]``, ``extractor.domain_popularity``), or is None when the
+    file is not a JSON object."""
+
+    def __init__(self, field, message: str):
+        self.field = field
+        where = "weak model" if field is None else f"weak model field {field!r}"
+        super().__init__(f"{where}: {message}")
+
+
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean", int: "number",
+               float: "number", type(None): "null"}
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _json_object(obj, field, keys=None) -> dict:
+    """``obj``, checked to be a JSON object, with exactly ``keys`` if given."""
+    if not isinstance(obj, dict):
+        raise WeakModelError(field, f"expected an object, got {_json_type(obj)}")
+    if keys is None:
+        return obj
+    prefix = "" if field is None else field + "."
+    for key in keys:
+        if key not in obj:
+            raise WeakModelError(prefix + key, "missing")
+    unknown = sorted(obj.keys() - set(keys))
+    if unknown:
+        raise WeakModelError(prefix + unknown[0], "unknown key")
+    return obj
+
+
+def _finite(value, field: str) -> float:
+    """``value`` as a float, if it is a finite JSON number (not a boolean)."""
+    number = type(value) in (int, float)
+    if number and abs(value) <= sys.float_info.max:  # exact for ints, False for NaN
+        return float(value)
+    got = "a non-finite number" if number else _json_type(value)
+    raise WeakModelError(field, f"expected a finite number, got {got}")
 
 
 def _set_jaccard(sa: frozenset, sb: frozenset) -> float:
@@ -150,10 +197,14 @@ class FeatureExtractor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureExtractor":
-        return cls(
-            domain_popularity=dict(d["domain_popularity"]),
-            intent_popularity=dict(d["intent_popularity"]),
-        )
+        """The extractor ``to_dict`` describes; a malformed one is a
+        ``WeakModelError`` that names the field."""
+        tables = _json_object(d, "extractor", ("domain_popularity", "intent_popularity"))
+        return cls(**{
+            name: {key: _finite(v, f"extractor.{name}.{key}")
+                   for key, v in _json_object(table, f"extractor.{name}").items()}
+            for name, table in tables.items()
+        })
 
 
 def features_matrix(
@@ -435,9 +486,25 @@ def save_weak_model(path, model: WeakLabelModel, extractor: FeatureExtractor) ->
 
 
 def load_weak_model(path) -> tuple[WeakLabelModel, FeatureExtractor]:
-    with open(path, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
-    if record.get("format_version") != _MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported weak-model format: {record.get('format_version')!r}")
-    model = WeakLabelModel(weights=np.asarray(record["weights"]), bias=record["bias"])
+    """The model and extractor ``save_weak_model`` wrote. Every field is
+    checked here, so a malformed file fails with a ``WeakModelError`` that
+    names the field, not later inside labeling."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        record = json.loads(raw)
+    except ValueError as exc:  # malformed JSON or UTF-8
+        raise WeakModelError(None, f"not a JSON file: {exc}") from exc
+    version = _json_object(record, None).get("format_version")
+    if type(version) is not int or version != _MODEL_FORMAT_VERSION:
+        raise WeakModelError("format_version", f"unsupported weak-model format: {version!r}")
+    _json_object(record, None, ("format_version", "weights", "bias", "extractor"))
+    weights = record["weights"]
+    if not isinstance(weights, list) or len(weights) != NUM_FEATURES:
+        got = f"{len(weights)} entries" if isinstance(weights, list) else _json_type(weights)
+        raise WeakModelError("weights", f"expected an array of {NUM_FEATURES} numbers, got {got}")
+    model = WeakLabelModel(
+        weights=np.array([_finite(w, f"weights[{i}]") for i, w in enumerate(weights)]),
+        bias=_finite(record["bias"], "bias"),
+    )
     return model, FeatureExtractor.from_dict(record["extractor"])

@@ -75,22 +75,32 @@ def test_missing_required_flag_is_usage_error():
 
 
 def test_repeated_dispatch_does_not_grow_the_permanent_generation(tmp_path, corpus_path):
-    """Each corpus build freezes all the garbage the process holds, so a
-    command that left its parser behind as cyclic garbage would grow the
-    permanent generation with every later build. With the collector off,
-    five more failing commands, each followed by a read, leave it flat."""
+    """Each corpus build freezes every object the process tracks, so garbage
+    that a command leaves behind (a usage error's traceback, a spent parser,
+    json's indenting encoder) would grow the permanent generation with every
+    later build unless the build collects it first. With the collector off,
+    five more rounds of usage errors, a failing command and ``train-weak``,
+    each followed by a read, leave it flat."""
     fail = ["label", "--model", str(tmp_path / "missing.json"), "--in", str(corpus_path),
             "--out", str(tmp_path / "labeled.jsonl")]
+    train_weak = ["train-weak", "--labeled", str(corpus_path), "--out", str(tmp_path / "w.json")]
+
+    def commands():
+        assert dispatch([]) == 2
+        assert dispatch(["gen-corpus"]) == 2
+        assert dispatch(["frobnicate"]) == 2
+        assert dispatch(fail) == 1
+        assert dispatch(train_weak) == 0
+        read_sessions(corpus_path)
+
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(2):  # builds the parser and fills lazy caches
-            assert dispatch(fail) == 1
-            read_sessions(corpus_path)
+            commands()
         frozen = gc.get_freeze_count()
         for _ in range(5):
-            assert dispatch(fail) == 1
-            read_sessions(corpus_path)
+            commands()
         assert gc.get_freeze_count() == frozen
     finally:
         if was_enabled:
@@ -189,6 +199,23 @@ def test_label_rerun_byte_identical(workdir, corpus_path, weak_model_path, label
     ])
     assert code == 0
     assert again.read_bytes() == labeled_path.read_bytes()
+
+
+def test_label_with_a_malformed_weak_model_fails_naming_the_field(tmp_path, corpus_path, capsys):
+    """A weak model whose popularity value is a string fails at load, as one
+    line naming the entry, and writes no output."""
+    model = tmp_path / "weak.json"
+    model.write_text(json.dumps({
+        "format_version": 3, "weights": [0.0] * 21, "bias": 0.0,
+        "extractor": {"domain_popularity": {"music": "abc"}, "intent_popularity": {}},
+    }))
+    out = tmp_path / "labeled.jsonl"
+    assert dispatch(["label", "--model", str(model), "--in", str(corpus_path),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("satgate: error: WeakModelError: weak model field "
+                   "'extractor.domain_popularity.music': expected a finite number, got string\n")
+    assert not out.exists()
 
 
 def test_train_writes_checkpoint_manifest_and_trace(workdir, ckpt_path):

@@ -454,6 +454,12 @@ def _window(session, i, config):
     return list(session.turns[max(0, i + 1 - config.num_turns) : i + 1])
 
 
+def _distinct_session(sessions, vocab, config, min_turns):
+    """The first session with at least ``min_turns`` turns, all of distinct content."""
+    return next(s for s in sessions if len(s.turns) >= min_turns
+                and len({net._content_key(t, vocab, config) for t in s.turns}) == len(s.turns))
+
+
 @pytest.fixture
 def encoded_rows(monkeypatch):
     """The pool size of every ``_encode_pool`` call, in call order."""
@@ -501,8 +507,7 @@ def test_forward_encodes_only_the_new_turn_of_a_replayed_session(tmp_path, encod
     config = DESK_CONFIG
     sessions = generate(CorpusConfig(seed=5, num_sessions=40))
     vocab, params, _ = _loaded_model(config, sessions, tmp_path)
-    session = next(s for s in sessions if len(s.turns) >= config.num_turns + 1
-                   and len({net._content_key(t, vocab, config) for t in s.turns}) == len(s.turns))
+    session = _distinct_session(sessions, vocab, config, config.num_turns + 1)
     encoded_rows.clear()
     for i in range(len(session.turns)):
         forward(params, config, vocab, _window(session, i, config))
@@ -513,20 +518,20 @@ def test_forward_encodes_only_the_new_turn_of_a_replayed_session(tmp_path, encod
     assert encoded_rows == [1]
 
 
-def test_forward_reencodes_after_a_param_is_replaced_or_another_vocab(tmp_path, encoded_rows):
-    """Replacing one array of a loaded params dict, even by a read-only one,
-    or passing another vocabulary, encodes every row afresh; the result is
-    the new model's score, not a stale row's."""
+def test_forward_reencodes_for_a_replaced_param_or_config_not_another_vocab(tmp_path,
+                                                                           encoded_rows):
+    """A plain dict of the loaded arrays with one replaced, even by a
+    read-only one, or the loaded model under another config, encodes every
+    row afresh and gives its own score, not a stale row's; the loaded
+    model's memo survives such calls. Rows are keyed by ids, so another
+    vocabulary with the same words reuses them."""
     config = TINY_CONFIG
     sessions = generate(CorpusConfig(seed=6, num_sessions=20))
     vocab, params, _ = _loaded_model(config, sessions, tmp_path)
-    session = next(s for s in sessions if len(s.turns) >= 2 and
-                   net._content_key(s.turns[0], vocab, config)
-                   != net._content_key(s.turns[1], vocab, config))
-    window = _window(session, 1, config)
+    window = _window(_distinct_session(sessions, vocab, config, 2), 1, config)
     encoded_rows.clear()
-    forward(params, config, vocab, window)
-    forward(params, config, vocab, window)
+    first = forward(params, config, vocab, window)
+    assert forward(params, config, vocab, window) == first
     assert encoded_rows == [2]
 
     edited = dict(params)
@@ -537,10 +542,51 @@ def test_forward_reencodes_after_a_param_is_replaced_or_another_vocab(tmp_path, 
     assert got == forward_batch(copies, config, encode_window(window, vocab, config))[0][0]
     assert got != forward(params, config, vocab, window)
     same_words = Vocabulary.from_dict(vocab.to_dict())
-    forward(params, config, same_words, window)
-    # The first call, the edited dict, the reference, the original dict
-    # again, and the other vocabulary.
+    assert forward(params, config, same_words, window) == first
+    other = replace(config, num_heads=1)
+    got = forward(params, other, vocab, window)
+    assert got == forward_batch(params, other, encode_window(window, vocab, other))[0][0]
+    # The first call, the edited dict and its reference, the other config
+    # and its reference; the memo serves the original dict and vocabulary.
     assert encoded_rows == [2] * 5
+
+
+def test_two_loaded_models_alternating_each_encode_one_row_a_decision(tmp_path, encoded_rows):
+    """Each loaded model keeps the memo of its own last window, so a control
+    and a treatment model that score the same replay decision by decision
+    encode one row a decision each, and each scores as its own
+    ``predict_scores`` within 1e-12."""
+    config = DESK_CONFIG
+    sessions = generate(CorpusConfig(seed=5, num_sessions=40))
+    models = []
+    for seed in (1, 2):
+        (tmp_path / str(seed)).mkdir()
+        models.append(_loaded_model(config, sessions, tmp_path / str(seed), seed=seed))
+    session = _distinct_session(sessions, models[0][0], config, config.num_turns + 1)
+    start = sum(len(s.turns) for s in sessions[: sessions.index(session)])
+    encoded_rows.clear()
+    for i in range(config.num_turns + 1):
+        for vocab, params, want in models:
+            got = forward(params, config, vocab, _window(session, i, config))
+            assert abs(got - want[start + i]) <= 1e-12, i
+    assert encoded_rows == [1] * 2 * (config.num_turns + 1)
+
+
+def test_forward_with_a_plain_dict_of_read_only_arrays_encodes_every_row(tmp_path, encoded_rows):
+    """Only ``LoadedParams`` carry a memo: the same read-only arrays in a
+    plain dict encode the whole window on every call."""
+    config = DESK_CONFIG
+    sessions = generate(CorpusConfig(seed=5, num_sessions=40))
+    vocab, params, _ = _loaded_model(config, sessions, tmp_path)
+    plain = dict(params)
+    assert not any(v.flags.writeable for v in plain.values())
+    session = _distinct_session(sessions, vocab, config, config.num_turns + 1)
+    encoded_rows.clear()
+    for i in range(len(session.turns)):
+        forward(plain, config, vocab, _window(session, i, config))
+        forward(plain, config, vocab, _window(session, i, config))
+    assert encoded_rows == [min(i + 1, config.num_turns) for i in range(len(session.turns))
+                            for _ in range(2)]
 
 
 def test_concurrent_forward_calls_score_as_predict_scores(tmp_path):

@@ -17,6 +17,7 @@ from satgate.weaklabel import (
     DegenerateDataError,
     FeatureExtractor,
     WeakLabelModel,
+    WeakModelError,
     features_matrix,
     fit_logistic,
     label_corpus,
@@ -446,6 +447,133 @@ def test_model_file_of_older_format_rejected(tmp_path, small_extractor, version)
     path.write_text(json.dumps(record))
     with pytest.raises(ValueError, match=f"unsupported weak-model format: {version}"):
         load_weak_model(path)
+
+
+def _weak_model_record(extractor) -> dict:
+    model = WeakLabelModel(weights=np.linspace(-1.0, 1.0, NUM_FEATURES), bias=0.25)
+    extractor = FeatureExtractor(dict(list(extractor.domain_popularity.items())[:3]),
+                                 dict(list(extractor.intent_popularity.items())[:3]))
+    return {"format_version": 3, "weights": model.weights.tolist(), "bias": model.bias,
+            "extractor": extractor.to_dict()}
+
+
+def _without(obj: dict, key: str) -> dict:
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (lambda r: [r], None),
+    (lambda r: _without(r, "bias"), "bias"),
+    (lambda r: _without(r, "extractor"), "extractor"),
+    (lambda r: {**r, "bias": True}, "bias"),
+    (lambda r: {**r, "extractor": []}, "extractor"),
+    (lambda r: {**r, "extractor": _without(r["extractor"], "intent_popularity")},
+     "extractor.intent_popularity"),
+    (lambda r: {**r, "weights": r["weights"][:-1]}, "weights"),
+    (lambda r: {**r, "weights": r["weights"][:4] + ["1"] + r["weights"][5:]}, "weights[4]"),
+    (lambda r: {**r, "lexicons": []}, "lexicons"),
+])
+def test_malformed_weak_model_names_the_field(tmp_path, small_extractor, mutate, field):
+    """A JSON list, a missing field, a boolean bias, a list extractor, a short
+    weights array or an unknown key fails at load with a ``WeakModelError``
+    that names the field."""
+    record = mutate(_weak_model_record(small_extractor))
+    path = tmp_path / "weak.json"
+    path.write_text(json.dumps(record))
+    with pytest.raises(WeakModelError) as err:
+        load_weak_model(path)
+    assert err.value.field == field
+    assert field is None or repr(field) in str(err.value)
+
+
+def test_popularity_string_fails_at_load_not_inside_labeling(tmp_path, small_corpus,
+                                                              small_extractor):
+    """A popularity value that is a string is rejected when the file loads,
+    naming the entry, instead of failing inside ``label_corpus``."""
+    record = _weak_model_record(small_extractor)
+    domain = next(iter(record["extractor"]["domain_popularity"]))
+    record["extractor"]["domain_popularity"][domain] = "abc"
+    path = tmp_path / "weak.json"
+    path.write_text(json.dumps(record))
+    with pytest.raises(WeakModelError, match=f"extractor.domain_popularity.{domain}"):
+        load_weak_model(path)
+
+
+def _json_paths(value, path=()):
+    """Every (path, value) in a JSON value, the root first; a path is a tuple
+    of object keys and array indices."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+def _field_of(path) -> str | None:
+    """``WeakModelError.field`` for a JSON path: dotted keys, [i] indices."""
+    if not path:
+        return None
+    field = str(path[0])
+    for key in path[1:]:
+        field += f"[{key}]" if isinstance(key, int) else f".{key}"
+    return field
+
+
+def _json_type(value) -> str:
+    return {dict: "object", list: "array", str: "string", bool: "boolean",
+            type(None): "null"}.get(type(value), "number")
+
+
+_OTHER_VALUES = {"object": [{}, {"a": 1.0}], "array": [[], [1.0]], "string": ["", "0.5"],
+                 "boolean": [True, False], "null": [None], "number": [0.5, 3]}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_every_mutated_weak_model_fails_with_a_weak_model_error(tmp_path_factory,
+                                                                small_extractor, data):
+    """Truncating a saved weak model, deleting a required key, or giving any
+    value another JSON type fails at load with a ``WeakModelError`` that
+    names the mutated field (or a field inside it); no ``KeyError``,
+    ``TypeError`` or ``AttributeError`` escapes."""
+    record = _weak_model_record(small_extractor)
+    path = tmp_path_factory.mktemp("weak") / "weak.json"
+    save_weak_model(path, WeakLabelModel(np.array(record["weights"]), record["bias"]),
+                    FeatureExtractor(**record["extractor"]))
+    assert json.loads(path.read_text()) == record
+    kind = data.draw(st.sampled_from(["truncate", "delete", "retype"]))
+    if kind == "truncate":
+        text = path.read_text().rstrip()
+        path.write_text(text[: data.draw(st.integers(0, len(text) - 1))])
+        mutated = None
+    else:
+        paths = [p for p, _ in _json_paths(record)]
+        if kind == "delete":  # the keys a saved file must hold
+            paths = [p for p in paths if len(p) == 1 or len(p) == 2 and p[0] == "extractor"]
+        mutated = data.draw(st.sampled_from(paths))
+        parent = record
+        for key in mutated[:-1]:
+            parent = parent[key]
+        if kind == "delete":
+            del parent[mutated[-1]]
+        else:
+            old = parent[mutated[-1]] if mutated else record
+            other = data.draw(st.sampled_from(sorted(t for t in _OTHER_VALUES
+                                                     if t != _json_type(old))))
+            new = data.draw(st.sampled_from(_OTHER_VALUES[other]))
+            if mutated:
+                parent[mutated[-1]] = new
+            else:
+                record = new
+        path.write_text(json.dumps(record))
+    with pytest.raises(WeakModelError) as err:
+        load_weak_model(path)
+    field, want = err.value.field, _field_of(mutated)
+    if want is None:
+        assert field is None
+    else:
+        assert field == want or field.startswith((want + ".", want + "["))
+        assert repr(field) in str(err.value)
 
 
 @settings(max_examples=30, deadline=None)

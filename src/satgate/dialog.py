@@ -134,10 +134,6 @@ def _check_unit(name: str, value) -> float:
 def _check_turn_numbers(timestamp, asr_confidence, nlu_confidence) -> tuple[float, float, float]:
     """A turn's timestamp (non-negative) and confidences (in [0, 1]) as
     floats, else a ValueError naming the first bad one."""
-    if (type(timestamp) is float and type(asr_confidence) is float
-            and type(nlu_confidence) is float and timestamp >= 0.0
-            and 0.0 <= asr_confidence <= 1.0 and 0.0 <= nlu_confidence <= 1.0):
-        return timestamp, asr_confidence, nlu_confidence  # what the checks below return
     timestamp = _check_number("timestamp", timestamp)
     if timestamp < 0:
         raise ValueError(f"timestamp must be non-negative, got {timestamp!r}")
@@ -351,9 +347,6 @@ def _slots_key(slots: list) -> tuple:
     """A JSON slot list as the slot tuple it stands for, with None for a
     value that is not a JSON array; a TypeError or ValueError for a slot
     that is not a pair."""
-    if len(slots) == 1:  # the common case, without a comprehension's frame
-        (key, value), = slots
-        return ((key, tuple(value) if type(value) is list else None),)
     return tuple([(key, tuple(value) if type(value) is list else None) for key, value in slots])
 
 

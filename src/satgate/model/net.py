@@ -8,9 +8,9 @@ attends over {domain-intent, slots, result item, text summary}. Only the
 summary leaves the text stack, so its last block computes keys and values
 for every position but everything past them for the aggregate slot alone;
 the other blocks keep their per-position work. A per-position linear
-layer with a large weight (the deployed preset's) runs as one 2-D product
-over all positions of the pool rows it is given, so a pass through a block
-reads its weights once. The text stack runs per length bucket: pool rows
+layer over more than one position runs as one 2-D product over all
+positions of the pool rows it is given, so a pass through a block reads
+its weights once. The text stack runs per length bucket: pool rows
 are grouped by real text length into at most four buckets, cut at the
 pool's length quartiles, and neighbouring buckets are merged while the
 padding a merge adds costs less than another pass through the text blocks;
@@ -84,11 +84,6 @@ _MAX_BUCKETS = 4  # length buckets the text stack runs per pool
 _PASS_FIXED = 16.0
 _PASS_SCALE = 30000.0
 _MICROBATCH = 256  # training windows whose gradient is computed in one pass
-# Weight entries from which a per-position linear layer runs as one 2-D
-# product (``_positionwise``): between the desk preset's 3,200, where a
-# training call ran ~2% slower in the 2-D form, and 8,192, where the 2-D
-# form won forward and backward.
-_FLAT_MIN_WEIGHT = 1 << 12
 
 
 # --- primitives -----------------------------------------------------------
@@ -279,17 +274,15 @@ def init_params(config: PredictorConfig, vocab: Vocabulary, seed: int = 0) -> di
 def _positionwise(m, W):
     """``m @ W`` for an (N, L, K) operand: one linear layer at every position.
 
-    With L > 1 and a weight of at least ``_FLAT_MIN_WEIGHT`` entries it runs
-    as one 2-D product over all N L positions: numpy's stacked product runs
-    a GEMM per row and repacks W for each, so a small pool would pay for a
-    large weight N times over; a small weight is cheap to repack. With
-    L = 1 (the summary-only block's slot-0 layers) it stays per row: a
-    one-row 2-D product takes BLAS's gemv path, whose bits differ from a
-    GEMM's, and a row's bits must not depend on how many rows share its
-    pool. Above one row, a GEMM row's bits do not depend on the row count.
+    With L > 1 it runs as one 2-D product over all N L positions: numpy's
+    stacked product runs a GEMM per row and repacks W for each. With L = 1
+    (the summary-only block's slot-0 layers) it stays per row: a one-row
+    2-D product takes BLAS's gemv path, whose bits differ from a GEMM's, and
+    a row's bits must not depend on how many rows share its pool. Above one
+    row, a GEMM row's bits do not depend on the row count.
     """
     N, L, K = m.shape
-    if L == 1 or W.size < _FLAT_MIN_WEIGHT:
+    if L == 1:
         return m @ W
     return (m.reshape(N * L, K) @ W).reshape(N, L, W.shape[1])
 

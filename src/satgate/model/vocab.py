@@ -114,9 +114,14 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Vocabulary":
-        return cls(
-            tokens=d["tokens"],
-            domains=d["domains"],
-            slot_keys=d["slot_keys"],
-            items=d["items"],
-        )
+        """The vocabulary ``to_dict`` wrote; a field that is not a list of
+        strings is a ValueError naming it."""
+        fields = {name: d[name] for name in ("tokens", "domains", "slot_keys", "items")}
+        for name, values in fields.items():
+            try:
+                if type(values) is not list:
+                    raise TypeError
+                "".join(values)  # the fastest check that every value is a string
+            except TypeError:
+                raise ValueError(f"{name} must be a list of strings") from None
+        return cls(**fields)

@@ -374,7 +374,6 @@ def fit_logistic(
     X: np.ndarray,
     y: np.ndarray,
     reg: float = 1.0,
-    init: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, list[float]]:
     """Newton's method with backtracking on the convex penalized objective.
 
@@ -383,7 +382,7 @@ def fit_logistic(
     """
     n, d = X.shape
     Xa = np.concatenate([X, np.ones((n, 1))], axis=1)
-    theta = np.zeros(d + 1) if init is None else np.asarray(init, dtype=np.float64).copy()
+    theta = np.zeros(d + 1)
     loss, grad, p = _nll_and_grad(Xa, y, theta, reg)
     trace = [loss]
     for _ in range(_NEWTON_MAX_ITER):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from satgate import _allocator
 from satgate.dialog import DialogueTurn, Session
@@ -27,6 +28,50 @@ def make_turn(
         asr_confidence=asr_confidence,
         nlu_confidence=nlu_confidence,
     )
+
+
+def _json_paths(value, path=()):
+    """Every (path, value) in a JSON value, the root first; a path is a tuple
+    of object keys and array indices."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+def _json_type(value) -> str:
+    return {dict: "object", list: "array", str: "string", bool: "boolean",
+            type(None): "null"}.get(type(value), "number")
+
+
+_OTHER_VALUES = {"object": [{}, {"a": 1.0}], "array": [[], [1.0]], "string": ["", "0.5"],
+                 "boolean": [True, False], "null": [None], "number": [0.5, 3]}
+
+
+def mutate_json(data, record, kind, deletable):
+    """``record``, a parsed JSON value, with one mutation drawn from
+    hypothesis ``data``: for ``kind`` "delete", a key or index that
+    ``deletable(path)`` accepts is deleted; for "retype", a value (the root
+    included) is replaced by one of another JSON type. Returns the mutated
+    record, changed in place unless its root was replaced, and the path."""
+    paths = [p for p, _ in _json_paths(record)]
+    if kind == "delete":
+        paths = [p for p in paths if p and deletable(p)]
+    mutated = data.draw(st.sampled_from(paths))
+    parent = record
+    for key in mutated[:-1]:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[mutated[-1]]
+        return record, mutated
+    old = parent[mutated[-1]] if mutated else record
+    other = data.draw(st.sampled_from(sorted(t for t in _OTHER_VALUES if t != _json_type(old))))
+    new = data.draw(st.sampled_from(_OTHER_VALUES[other]))
+    if not mutated:
+        return new, mutated
+    parent[mutated[-1]] = new
+    return record, mutated
 
 
 @pytest.fixture

@@ -422,6 +422,19 @@ def test_repeated_turn_with_a_bad_number_fails_as_a_new_one(tmp_path, field, val
     assert str(info.value) == str(alone.value).replace("line 1:", "line 2:", 1)
 
 
+def test_integer_numbers_read_back_as_floats(tmp_path):
+    """An integer timestamp and integer confidences come back as floats,
+    in a record whose token lists and strings repeat an earlier record's
+    (only its numbers are checked again) and in a new one."""
+    path = tmp_path / "ints.jsonl"
+    _write_records(path, _turn_obj(timestamp=3, asr_confidence=1, nlu_confidence=0),
+                   _turn_obj(query=["new"], timestamp=2, asr_confidence=0, nlu_confidence=1))
+    repeated, new = (s.turns[0] for s in read_sessions(path)[1:])
+    for turn, want in ((repeated, (3.0, 1.0, 0.0)), (new, (2.0, 0.0, 1.0))):
+        got = (turn.timestamp, turn.asr_confidence, turn.nlu_confidence)
+        assert got == want and [type(v) for v in got] == [float] * 3
+
+
 @pytest.mark.parametrize("source", ["generated", "read"])
 def test_dropped_corpus_leaves_no_shared_value_behind(tmp_path, source):
     """Once a corpus is dropped, nothing else holds its shared values, with

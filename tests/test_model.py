@@ -4,6 +4,7 @@ from collections import Counter
 import os
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -37,7 +38,7 @@ from satgate.synth import CorpusConfig, generate
 from satgate.training import TrainConfig, train
 from satgate.weaklabel import FeatureExtractor, features_matrix
 
-from conftest import make_turn
+from conftest import make_turn, mutate_json
 
 # Every per-turn (pool) array of a Batch.
 _POOL_ARRAYS = ("text_ids", "text_mask", "dom_ids", "item_ids",
@@ -1164,9 +1165,10 @@ def test_text_blocks_skip_padding(lengths, positions, monkeypatch, quartile_cuts
 
 @pytest.mark.parametrize("preset", ["tiny", "desk"])
 def test_flat_products_match_per_row_products(preset, monkeypatch):
-    """Every per-position layer run as one 2-D product, the form the
-    deployed preset's large weights take, gives the scores, loss and
-    gradients of numpy's per-row products within 1e-12."""
+    """Every per-position layer over more than one position runs as one 2-D
+    product, at every preset; that gives the scores, loss and gradients of
+    numpy's per-row products (``m @ W`` on the stacked operand) within
+    1e-12."""
     config = {"tiny": TINY_CONFIG, "desk": DESK_CONFIG}[preset]
     sessions = generate(CorpusConfig(seed=17, num_sessions=30))
     vocab = Vocabulary.build(sessions, config.vocab_size)
@@ -1174,11 +1176,12 @@ def test_flat_products_match_per_row_products(preset, monkeypatch):
     ds = WindowDataset.from_sessions(sessions, vocab, config, "none")
     batch = replace(ds.batch, labels=np.random.default_rng(0).uniform(size=len(ds)))
 
-    def run(min_weight):
-        monkeypatch.setattr(net, "_FLAT_MIN_WEIGHT", min_weight)
+    def run():
         return predict_scores(params, config, batch), net.loss_and_grad_batch(params, config, batch)
 
-    (got_p, (got_loss, got_grads, _)), (want_p, (want_loss, want_grads, _)) = run(0), run(math.inf)
+    got_p, (got_loss, got_grads, _) = run()
+    monkeypatch.setattr(net, "_positionwise", lambda m, W: m @ W)
+    want_p, (want_loss, want_grads, _) = run()
     np.testing.assert_allclose(got_p, want_p, rtol=0, atol=1e-12)
     assert abs(got_loss - want_loss) <= 1e-12
     for name in params:
@@ -1400,9 +1403,25 @@ def test_checkpoint_loads_from_a_pipe(tmp_path, tiny_setup):
     assert all(loaded[name].tobytes() == params[name].tobytes() for name in params)
 
 
+def _rewrite_header(path, edit):
+    """Replace a saved checkpoint's JSON header with ``edit(header)``,
+    keeping its payload."""
+    data = path.read_bytes()
+    header_end = 20 + int.from_bytes(data[12:20], "little")
+    raw = json.dumps(edit(json.loads(data[20:header_end]))).encode("utf-8")
+    path.write_bytes(data[:12] + len(raw).to_bytes(8, "little") + raw + data[header_end:])
+
+
 def _drop_tensor_key(key):
     def edit(header):
         del header["tensors"][0][key]
+    return edit
+
+
+def _retype_tensor_field(index, field, retype):
+    def edit(header):
+        entry = header["tensors"][index]
+        entry[field] = retype(entry[field])
     return edit
 
 
@@ -1420,19 +1439,89 @@ def _drop_tensor_key(key):
     pytest.param(lambda h: h["tensors"][1].update(offset=h["tensors"][1]["offset"] + 8),
                  "tensor '.*' starts at payload byte", id="tensor-offset-gap"),
     pytest.param(None, "not a JSON object", id="header-is-a-list"),
+    pytest.param(_retype_tensor_field(0, "shape", lambda shape: [float(n) for n in shape]),
+                 r"bad 'tensors': tensor '\w+' has shape \[8.0, 8.0\], not a list of integers",
+                 id="float-shape"),
+    pytest.param(_retype_tensor_field(1, "offset", str),
+                 r"bad 'tensors': tensor '\w+' has offset '\d+', not an integer",
+                 id="string-offset"),
+    pytest.param(_retype_tensor_field(0, "offset", bool),
+                 r"bad 'tensors': tensor '\w+' has offset False, not an integer", id="bool-offset"),
+    pytest.param(_retype_tensor_field(0, "name", len),
+                 r"bad 'tensors': tensor name \d+ is not a string", id="non-string-name"),
+    pytest.param(lambda h: h["config"].pop("num_heads"), "'config' lacks 'num_heads'",
+                 id="no-config-field"),
+    pytest.param(lambda h: h["vocab"].update(tokens=[7] + h["vocab"]["tokens"][1:]),
+                 "bad 'vocab': tokens must be a list of strings", id="non-string-token"),
+    pytest.param(lambda h: h["tensors"][1].update(name=h["tensors"][0]["name"]),
+                 "tensor '\\w+' is listed twice", id="repeated-tensor-name"),
 ])
 def test_malformed_checkpoint_header_raises_checkpoint_error(tmp_path, tiny_setup, edit, expect):
     _, vocab, params = tiny_setup
     path = tmp_path / "edited.ckpt"
     save_checkpoint(path, TINY_CONFIG, vocab, params)
-    data = path.read_bytes()
-    header_end = 20 + int.from_bytes(data[12:20], "little")
-    header = json.loads(data[20:header_end])
-    if edit is None:
-        header = [header]
-    else:
+
+    def rewrite(header):
+        if edit is None:
+            return [header]
         edit(header)
-    raw = json.dumps(header).encode("utf-8")
-    path.write_bytes(data[:12] + len(raw).to_bytes(8, "little") + raw + data[header_end:])
+        return header
+
+    _rewrite_header(path, rewrite)
     with pytest.raises(CheckpointError, match=expect):
+        load_checkpoint(path)
+
+
+def test_checkpoint_too_short_for_its_header_fails_before_allocating(tmp_path, tiny_setup):
+    """A file of tens of KB whose header describes a deployed-preset model
+    (tens of MB of tensors) fails as truncated before a buffer of the
+    model's size is allocated: the load's tracemalloc peak stays within a
+    small multiple of the file's size."""
+    _, vocab, params = tiny_setup
+    path = tmp_path / "short.ckpt"
+    save_checkpoint(path, TINY_CONFIG, vocab, params)
+    shapes = net.param_shapes(DEPLOYED_CONFIG, vocab)
+    manifest, offset = [], 0
+    for name in sorted(shapes):
+        manifest.append({"name": name, "shape": list(shapes[name]), "offset": offset})
+        offset += 8 * math.prod(shapes[name])
+    _rewrite_header(path, lambda h: {**h, "config": DEPLOYED_CONFIG.to_dict(), "tensors": manifest})
+    size = path.stat().st_size
+    assert offset > 1000 * size
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="truncated checkpoint: tensor"):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * size
+
+
+def _must_hold(path) -> bool:
+    """Whether a saved checkpoint's header must hold the key at ``path``:
+    the header's own keys, every config and vocabulary field, and each
+    tensor entry's name, shape and offset."""
+    return (len(path) == 1 or len(path) == 2 and path[0] in ("config", "vocab")
+            or len(path) == 3 and path[0] == "tensors")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_every_mutated_checkpoint_fails_with_a_checkpoint_error(tmp_path_factory, tiny_setup,
+                                                                data):
+    """Truncating a saved checkpoint, deleting a header key it must hold, or
+    giving any header value another JSON type fails at load with a
+    ``CheckpointError``; no ``KeyError``, ``TypeError``, ``AttributeError``,
+    ``IndexError`` or ``MemoryError`` escapes."""
+    _, vocab, params = tiny_setup
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    save_checkpoint(path, TINY_CONFIG, vocab, params)
+    kind = data.draw(st.sampled_from(["truncate", "delete", "retype"]))
+    if kind == "truncate":
+        raw = path.read_bytes()
+        path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+    else:
+        _rewrite_header(path, lambda header: mutate_json(data, header, kind, _must_hold)[0])
+    with pytest.raises(CheckpointError):
         load_checkpoint(path)

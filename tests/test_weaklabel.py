@@ -28,7 +28,7 @@ from satgate.weaklabel import (
     weak_label_sessions,
 )
 
-from conftest import make_turn
+from conftest import make_turn, mutate_json
 
 _PROMPT_INDICES = (2, 3, 4, 5, 19, 20)
 _SIMILARITY_INDICES = (14, 15, 16, 17, 18)
@@ -342,15 +342,6 @@ def test_training_loss_monotone_and_converges(rng):
     assert len(trace) >= 2
 
 
-def test_convexity_same_optimum_from_different_inits(rng):
-    X = rng.normal(size=(150, 5))
-    y = (X[:, 0] - X[:, 1] + rng.normal(scale=0.3, size=150) > 0).astype(float)
-    _, _, trace_zero = fit_logistic(X, y, reg=0.5)
-    init = rng.normal(size=6)
-    _, _, trace_rand = fit_logistic(X, y, reg=0.5, init=init)
-    assert abs(trace_zero[-1] - trace_rand[-1]) < 1e-6
-
-
 def test_single_class_raises():
     X = np.zeros((10, NUM_FEATURES))
     with pytest.raises(DegenerateDataError):
@@ -499,16 +490,6 @@ def test_popularity_string_fails_at_load_not_inside_labeling(tmp_path, small_cor
         load_weak_model(path)
 
 
-def _json_paths(value, path=()):
-    """Every (path, value) in a JSON value, the root first; a path is a tuple
-    of object keys and array indices."""
-    yield path, value
-    items = value.items() if isinstance(value, dict) else (
-        enumerate(value) if isinstance(value, list) else ())
-    for key, child in items:
-        yield from _json_paths(child, path + (key,))
-
-
 def _field_of(path) -> str | None:
     """``WeakModelError.field`` for a JSON path: dotted keys, [i] indices."""
     if not path:
@@ -517,15 +498,6 @@ def _field_of(path) -> str | None:
     for key in path[1:]:
         field += f"[{key}]" if isinstance(key, int) else f".{key}"
     return field
-
-
-def _json_type(value) -> str:
-    return {dict: "object", list: "array", str: "string", bool: "boolean",
-            type(None): "null"}.get(type(value), "number")
-
-
-_OTHER_VALUES = {"object": [{}, {"a": 1.0}], "array": [[], [1.0]], "string": ["", "0.5"],
-                 "boolean": [True, False], "null": [None], "number": [0.5, 3]}
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -547,24 +519,9 @@ def test_every_mutated_weak_model_fails_with_a_weak_model_error(tmp_path_factory
         path.write_text(text[: data.draw(st.integers(0, len(text) - 1))])
         mutated = None
     else:
-        paths = [p for p, _ in _json_paths(record)]
-        if kind == "delete":  # the keys a saved file must hold
-            paths = [p for p in paths if len(p) == 1 or len(p) == 2 and p[0] == "extractor"]
-        mutated = data.draw(st.sampled_from(paths))
-        parent = record
-        for key in mutated[:-1]:
-            parent = parent[key]
-        if kind == "delete":
-            del parent[mutated[-1]]
-        else:
-            old = parent[mutated[-1]] if mutated else record
-            other = data.draw(st.sampled_from(sorted(t for t in _OTHER_VALUES
-                                                     if t != _json_type(old))))
-            new = data.draw(st.sampled_from(_OTHER_VALUES[other]))
-            if mutated:
-                parent[mutated[-1]] = new
-            else:
-                record = new
+        # Deleted keys are those a saved file must hold.
+        record, mutated = mutate_json(
+            data, record, kind, lambda p: len(p) == 1 or len(p) == 2 and p[0] == "extractor")
         path.write_text(json.dumps(record))
     with pytest.raises(WeakModelError) as err:
         load_weak_model(path)

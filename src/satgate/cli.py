@@ -99,6 +99,16 @@ def _json_number(obj: dict, key: str, default: float, where: str) -> float:
     return float(value)
 
 
+def _json_string(obj: dict, key: str, default, where: str) -> str:
+    """``obj[key]`` (``default`` when absent), which must be a JSON string:
+    another type fails here, naming the key, instead of deep in the run (a
+    number given as a path would even open that file descriptor)."""
+    value = obj.get(key, default)
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: {key!r} must be a JSON string, got {value!r}")
+    return value
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -113,9 +123,9 @@ def _fmt(value) -> str:
 def _cmd_gen_corpus(args) -> int:
     raw = _load_config_file(args.config)
     _check_keys(raw, _field_names(synth.CorpusConfig), "gen-corpus config")
+    config = synth.CorpusConfig.from_dict(raw)  # checks each catalog entry is an object
     for i, entry in enumerate(raw.get("domain_catalog") or ()):
         _check_keys(entry, _field_names(synth.DomainSpec), f"gen-corpus config domain_catalog[{i}]")
-    config = synth.CorpusConfig.from_dict(raw)
     if args.seed is not None:
         config = synth.CorpusConfig.from_dict({**config.to_dict(), "seed": args.seed})
     sessions = synth.generate(config)
@@ -203,7 +213,7 @@ def _resolve_train_configs(raw: dict, seed_override):
     train_keys = _field_names(training.TrainConfig)
     other_keys = {"model_preset", "batch_preset", "label_source", "init_seed"}
     _check_keys(raw, model_keys | train_keys | other_keys, "train config")
-    model_preset = raw.get("model_preset", "desk")
+    model_preset = _json_string(raw, "model_preset", "desk", "train config")
     if model_preset not in _MODEL_PRESETS:
         raise ValueError(f"unknown model_preset {model_preset!r}")
     model_dict = _MODEL_PRESETS[model_preset].to_dict()
@@ -214,7 +224,8 @@ def _resolve_train_configs(raw: dict, seed_override):
     if seed_override is not None:
         train_dict["seed"] = seed_override
     if "batch_preset" in raw:
-        tconfig = training.TrainConfig.from_preset(raw["batch_preset"], **train_dict)
+        batch_preset = _json_string(raw, "batch_preset", None, "train config")
+        tconfig = training.TrainConfig.from_preset(batch_preset, **train_dict)
     else:
         tconfig = training.TrainConfig(**train_dict)
     label_source = raw.get("label_source", "weak")
@@ -331,15 +342,36 @@ def _variant_entries(spec: dict) -> list[dict]:
         where = f"simulate variants[{i}]"
         if not isinstance(entry, dict):
             raise ValueError(f"{where}: must be a JSON object, got {type(entry).__name__}")
-        kind = entry.get("kind", "none")
+        kind = _json_string(entry, "kind", "none", where)
         if kind not in _VARIANT_KEYS:
             raise ValueError(f"{where}: unknown variant kind {kind!r}")
         for field in ("name", *_VARIANT_KEYS[kind]):
             if field not in entry:
                 raise ValueError(f"{where}: missing required field {field!r}")
+            _json_string(entry, field, None, where)
         _check_keys(entry, ("name", "kind", "threshold", *_VARIANT_KEYS[kind]),
                     f"simulate variant {entry['name']!r}")
     return entries
+
+
+def _partition_weights(spec: dict, n_variants: int):
+    """The spec's ``partition_weights``: absent or null, or a JSON array of
+    numbers with one per variant (their values are checked by the replay)."""
+    where = "simulate variants spec"
+    weights = spec.get("partition_weights")
+    if weights is None:
+        return None
+    if not isinstance(weights, list):
+        raise ValueError(f"{where}: 'partition_weights' must be a JSON array of numbers, "
+                         f"got {type(weights).__name__}")
+    if len(weights) != n_variants:
+        raise ValueError(f"{where}: 'partition_weights' holds {len(weights)} weights, "
+                         f"but 'variants' holds {n_variants} entries")
+    for i, weight in enumerate(weights):
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+            raise ValueError(f"{where}: 'partition_weights[{i}]' must be a JSON number, "
+                             f"got {weight!r}")
+    return weights
 
 
 def _cmd_simulate(args) -> int:
@@ -351,12 +383,15 @@ def _cmd_simulate(args) -> int:
         "threshold": _json_number(spec, "threshold", 0.7, where),
         "p_fix": _json_number(spec, "p_fix", 0.8, where),
         "p_annoy": _json_number(spec, "p_annoy", 0.5, where),
-        "rating_source": spec.get("rating_source", "oracle"),
-        "partition_weights": spec.get("partition_weights"),
+        "rating_source": _json_string(spec, "rating_source", "oracle", where),
+        "partition_weights": _partition_weights(spec, len(entries)),
         "paired": spec.get("paired", False),
     }
     if not isinstance(settings["paired"], bool):
         raise ValueError(f"{where}: 'paired' must be a JSON boolean, got {settings['paired']!r}")
+    if settings["rating_source"] not in ("oracle", "weak"):
+        raise ValueError(f"{where}: 'rating_source' must be \"oracle\" or \"weak\", "
+                         f"got {settings['rating_source']!r}")
     thresholds = [_json_number(entry, "threshold", settings["threshold"],
                                f"simulate variant {entry['name']!r}") for entry in entries]
     sessions = read_sessions(args.corpus)

@@ -1,20 +1,32 @@
-"""Self-describing predictor checkpoints with a deterministic byte layout.
+"""Self-describing predictor checkpoints with a deterministic byte layout,
+served from a read-only mapping of the file.
 
-Layout: 8-byte magic, u32 format version (3), u64 header length, JSON header
-(config, vocabulary, tensor manifest with offsets), then the raw little-endian
-float64 tensor bytes in manifest order, each tensor starting where the one
-before it ends. Identical contents serialize to identical bytes. Version 3
-dropped ``attention_scale`` from the header's config; files of any other
-version are rejected with a ``CheckpointError`` that names it.
+Layout (format 4): 8-byte magic, u32 format version (4), u64 header length,
+JSON header (config, vocabulary, tensor manifest with offsets), padded with
+spaces so that the payload starts at a multiple of 64 bytes, then the raw
+little-endian float64 tensor bytes in manifest order, each tensor starting
+where the one before it ends. Identical contents serialize to identical
+bytes. Files of any other version, version 3 (the same layout without the
+padding) included, are rejected with a ``CheckpointError`` that names it.
+
+``load_checkpoint`` maps a regular file read-only and views the payload in
+place: the weights are never copied, and every process that loads the same
+file shares one copy of them through the page cache. A stream (a pipe) is
+read into one vector instead. ``save_checkpoint`` writes a new file and
+renames it over the old one, so that a rewrite never changes the bytes under
+a live mapping.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
 import math
+import mmap
 import os
+import secrets
 import stat
 import struct
 
@@ -27,8 +39,15 @@ from .vocab import Vocabulary
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError"]
 
 _MAGIC = b"SATGCKPT"
-_VERSION = 3
+_VERSION = 4
 _PREFIX = struct.Struct("<IQ")  # format version, header length
+_HEADER_START = len(_MAGIC) + _PREFIX.size
+# The payload starts at a multiple of this many bytes, a cache line: an
+# unaligned payload slows every product over the mapped weights.
+_ALIGN = 64
+# A stream's header is read at most this many bytes at a time, so a stream
+# that claims a huge header and then ends costs one chunk, not the claim.
+_READ_CHUNK = 1 << 20
 _CONFIG_FIELDS = tuple(field.name for field in dataclasses.fields(PredictorConfig))
 
 
@@ -56,33 +75,62 @@ def save_checkpoint(path, config: PredictorConfig, vocab: Vocabulary, params: di
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(_PREFIX.pack(_VERSION, len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    header += b" " * (-(_HEADER_START + len(header)) % _ALIGN)
+    _replace_file(path, [_MAGIC, _PREFIX.pack(_VERSION, len(header)), header, *blobs])
+
+
+def _replace_file(path, chunks) -> None:
+    """Write ``chunks`` to a new file in ``path``'s directory and rename it
+    over ``path``. A process that mapped the old file keeps its old bytes,
+    where truncating that file in place would fault in the process (SIGBUS).
+    The file gets the mode ``open(path, "wb")`` gives it: the mode of the
+    file it replaces, else 0o666 less the umask."""
+    path = os.fspath(path)
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    # O_BINARY: no newline translation on Windows.
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.writelines(chunks)
+        if mode is not None:
+            os.chmod(tmp, mode)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, LoadedParams]:
-    """Config, vocabulary and parameters. The payload is read straight into
-    one flat vector, and the parameters are views into it in the file's
-    tensor order (``flat_views``); a tensor that does not start where the
-    one before it ends, or that the file ends inside, is a ``CheckpointError``.
+    """Config, vocabulary and parameters. The parameters are views into one
+    flat vector in the file's tensor order (``flat_views``); a tensor that
+    does not start where the one before it ends, or that the file ends
+    inside, is a ``CheckpointError``.
+
+    A regular file is checked first: its size (one ``os.fstat``) bounds what
+    its header may claim, so a file too short for its header or tensors
+    fails before anything of the claimed size is read or mapped. Then the
+    file is mapped read-only, and the flat vector is the mapped payload
+    itself: loading copies no weights, and processes that serve one file
+    share its pages. Rewrite a loaded file only with ``save_checkpoint``,
+    which replaces it; truncating it in place would fault in every process
+    that maps it. A stream (a pipe) reports no size; its header is read in
+    bounded chunks and its payload into one vector, checked by what arrived.
 
     The parameters come as a read-only mapping (``net.LoadedParams``) over
     read-only views: an entry cannot be replaced, and an in-place write
     raises ``ValueError``. Loaded weights thus cannot change under
     ``net.forward``, which keeps the turn embeddings of the model's previous
-    window on the mapping; ``train`` copies them into a vector of its own.
-
-    A regular file's size bounds what its header may claim, so a file too
-    short for its header or tensors fails before a buffer of the claimed
-    size is allocated; a stream (a pipe) reports no size and is checked by
-    what it yields."""
+    window on the mapping; ``train`` copies them into a vector of its own."""
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
-        size = info.st_size if stat.S_ISREG(info.st_mode) else math.inf
+        regular = stat.S_ISREG(info.st_mode)
+        size = info.st_size if regular else math.inf
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise CheckpointError(f"not a predictor checkpoint: bad magic {magic!r}")
@@ -92,8 +140,7 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, LoadedParams]:
         version, header_len = _PREFIX.unpack(prefix)
         if version != _VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        header_start = len(_MAGIC) + _PREFIX.size
-        raw_header = fh.read(min(header_len, size - header_start))
+        raw_header = _read_up_to(fh, min(header_len, size - _HEADER_START))
         if len(raw_header) < header_len:
             raise CheckpointError(
                 f"truncated checkpoint: header holds {len(raw_header)} of {header_len} bytes"
@@ -107,16 +154,34 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, LoadedParams]:
                     f"{start}, but the tensors before it end at byte {end}"
                 )
             end = start + 8 * math.prod(shape)
-        room = size - header_start - header_len  # the payload a regular file holds
+        payload_start = _HEADER_START + header_len
+        room = size - payload_start  # the payload a regular file holds
         if room < end:
             _raise_truncated(tensors, room)
-        flat = np.empty(end // 8, dtype="<f8")
-        got = fh.readinto(flat)
-    if got < end:
-        _raise_truncated(tensors, got)
-    flat.flags.writeable = False
+        if regular:
+            mapped = mmap.mmap(fh.fileno(), payload_start + end, access=mmap.ACCESS_READ)
+            flat = np.frombuffer(mapped, "<f8", end // 8, payload_start)
+        else:
+            flat = np.empty(end // 8, dtype="<f8")
+            got = fh.readinto(flat)
+            if got < end:
+                _raise_truncated(tensors, got)
+            flat.flags.writeable = False
     _, params = flat_views({name: shape for name, shape, _ in tensors}, flat)
     return config, vocab, LoadedParams(params)
+
+
+def _read_up_to(fh, n: int) -> bytes:
+    """The next ``n`` bytes of ``fh``, fewer only where it ends, read at most
+    ``_READ_CHUNK`` bytes at a time."""
+    chunks = []
+    while n > 0:
+        chunk = fh.read(min(n, _READ_CHUNK))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
 
 
 def _raise_truncated(tensors, got) -> None:

@@ -355,8 +355,10 @@ class CorpusConfig:
                 if not isinstance(getattr(entry, name), str):
                     raise ValueError(f"domain_catalog[{i}] {name} must be a string, got {getattr(entry, name)!r}")
             for name in ("templates", "response_templates", "items"):
-                if not all(isinstance(text, str) for text in getattr(entry, name)):
-                    raise ValueError(f"domain_catalog[{i}] {name} must be strings")
+                for j, text in enumerate(getattr(entry, name)):
+                    if not isinstance(text, str):
+                        raise ValueError(f"domain_catalog[{i}] {name} must be strings, "
+                                         f"but {name}[{j}] is {text!r}")
             for name in ("templates", "response_templates"):
                 if not all(tokenize(template.format(item=item))
                            for template in getattr(entry, name) for item in entry.items):
@@ -372,27 +374,39 @@ class CorpusConfig:
         d = dict(d)
         catalog = d.pop("domain_catalog", None)
         if catalog is not None:
+            if not isinstance(catalog, (list, tuple)):
+                raise ValueError(f"domain_catalog must be an array of objects, "
+                                 f"got {type(catalog).__name__}")
             d["domain_catalog"] = tuple(_domain_spec(i, c) for i, c in enumerate(catalog))
         return cls(**d)
 
 
 def _domain_spec(index: int, entry) -> DomainSpec:
     """The ``index``-th ``domain_catalog`` entry of a config dict as a
-    DomainSpec; an entry that is not an object or lacks a field raises a
-    ValueError naming the entry and the field."""
+    DomainSpec; an entry that is not an object, lacks a field, or holds a
+    weight that is not a number or texts that are not an array raises a
+    ValueError naming the entry and the field. ``validate`` checks the
+    rest."""
     where = f"domain_catalog[{index}]"
     if not isinstance(entry, dict):
         raise ValueError(f"{where} must be an object, got {type(entry).__name__}")
     for f in fields(DomainSpec):
         if f.name not in entry:
             raise ValueError(f"{where} lacks required field {f.name!r}")
+    weight = entry["weight"]
+    if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+        raise ValueError(f"{where} weight must be a number, got {weight!r}")
+    for name in ("templates", "response_templates", "items"):
+        if not isinstance(entry[name], (list, tuple)):
+            raise ValueError(f"{where} {name} must be an array of strings, "
+                             f"got {type(entry[name]).__name__}")
     return DomainSpec(
         domain_intent=entry["domain_intent"],
         slot_key=entry["slot_key"],
         templates=tuple(entry["templates"]),
         response_templates=tuple(entry["response_templates"]),
         items=tuple(entry["items"]),
-        weight=float(entry["weight"]),
+        weight=float(weight),
     )
 
 

@@ -1,13 +1,18 @@
+import contextlib
 import csv
 import gc
+import io
 import json
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satgate.cli import dispatch
 from satgate.dialog import Session, read_sessions, write_sessions
 from satgate.synth import DEFAULT_CATALOG
+
+from conftest import mutate_json
 
 
 @pytest.fixture(scope="module")
@@ -478,3 +483,58 @@ def test_train_rejects_unknown_batch_preset(workdir, labeled_path, capsys):
                      "--out", str(workdir / "bad-preset.ckpt")])
     assert code == 1
     assert "ValueError: unknown batch_preset 'desk-xx'; known presets:" in capsys.readouterr().err
+
+
+def _field_label(path, kind) -> str:
+    """How an error names the config field that mutation ``kind`` changed at
+    ``path``: an object key by itself; an array element as ``key[index]``,
+    or, when it was deleted, the array's key (a shorter array can fail only
+    as a whole); the whole file as what it must be."""
+    if not path:
+        return "must hold a JSON object"
+    if isinstance(path[-1], int):
+        return path[-2] if kind == "delete" else f"{path[-2]}[{path[-1]}]"
+    return path[-1]
+
+
+@settings(max_examples=240, deadline=None, derandomize=True)
+@given(st.data())
+def test_every_mutated_config_fails_with_a_value_error_naming_its_field(
+        workdir, labeled_path, weak_model_path, ckpt_path, data):
+    """Deleting any key of a gen-corpus, train or simulate config file, or
+    giving any value another JSON type, either still runs or fails with a
+    ValueError that names the mutated field or one inside it; no
+    TypeError, KeyError or AttributeError escapes."""
+    configs = {
+        "gen-corpus": {"seed": 3, "num_sessions": 4, "turns_min": 2, "turns_max": 4,
+                       "asr_error_rate": 0.1, "nlu_error_rate": 0.05, "user_error_rate": 0.05,
+                       "domain_catalog": [asdict(spec) for spec in DEFAULT_CATALOG[:3]]},
+        "train": {"model_preset": "tiny", "batch_preset": "desk-sb", "batch_size": 64,
+                  "learning_rate": 0.005, "epochs": 1, "seed": 2, "label_source": "weak",
+                  "init_seed": 1, "embed_dim": 8, "num_heads": 2},
+        "simulate": {"threshold": 0.7, "p_fix": 0.8, "p_annoy": 0.5, "rating_source": "oracle",
+                     "partition_weights": [1.0, 1.0, 2.0], "paired": False, "variants": [
+                         {"name": "no-predictor", "kind": "none"},
+                         {"name": "feature-baseline", "kind": "weak",
+                          "model": str(weak_model_path)},
+                         {"name": "transformer", "kind": "transformer", "ckpt": str(ckpt_path),
+                          "threshold": 0.6}]},
+    }
+    command = data.draw(st.sampled_from(sorted(configs)))
+    kind = data.draw(st.sampled_from(["delete", "retype"]))
+    config, mutated = mutate_json(data, json.loads(json.dumps(configs[command])), kind,
+                                  lambda path: True)
+    path, out = workdir / "mutated-config.json", workdir / "mutated-out"
+    path.write_text(json.dumps(config))
+    args = {
+        "gen-corpus": ["--config", path, "--out", out],
+        "train": ["--config", path, "--corpus", labeled_path, "--out", out],
+        "simulate": ["--corpus", labeled_path, "--variants", path, "--out", out],
+    }[command]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = dispatch([command, *map(str, args)])
+    if code:
+        message = err.getvalue()
+        assert message.startswith("satgate: error: ValueError: "), (mutated, message)
+        assert _field_label(mutated, kind) in message, (mutated, message)

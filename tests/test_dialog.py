@@ -19,7 +19,7 @@ from satgate.dialog import (
     write_sessions,
 )
 
-from conftest import make_turn
+from conftest import make_turn, mutate_json
 
 _words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
 _token_seq = st.lists(_words, min_size=1, max_size=6).map(tuple)
@@ -491,3 +491,43 @@ def test_failed_read_keeps_nothing_behind(tmp_path, monkeypatch):
     finally:
         if was_enabled:
             gc.enable()
+
+
+@pytest.fixture(scope="module")
+def labeled_corpus_bytes():
+    """A small generated corpus, with oracle and weak labels, as written."""
+    sessions = synth.generate(synth.CorpusConfig(seed=5, num_sessions=6))
+    sessions = [s.with_weak_labels([0.25 + 0.5 * (t % 2) for t in range(len(s.turns))])
+                for s in sessions]
+    lines = [json.dumps(_session_to_obj(s), ensure_ascii=False) + "\n" for s in sessions]
+    return "".join(lines).encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_every_mutated_corpus_fails_with_a_corpus_error_naming_its_line(
+        tmp_path_factory, labeled_corpus_bytes, data):
+    """Truncating a written corpus, deleting any key or array element of one
+    of its records, or giving any value of one record another JSON type
+    either still reads or fails with a CorpusParseError or
+    CorpusSchemaError that names the mutated line; no KeyError, TypeError,
+    AttributeError or IndexError escapes."""
+    raw = labeled_corpus_bytes
+    path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+    kind = data.draw(st.sampled_from(["truncate", "delete", "retype"]))
+    if kind == "truncate":
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        path.write_bytes(raw[:cut])
+        line_no = raw[:cut].count(b"\n") + 1
+    else:
+        lines = raw.decode("utf-8").splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        record, _ = mutate_json(data, json.loads(lines[i]), kind, lambda p: True)
+        lines[i] = json.dumps(record)
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        line_no = i + 1
+    try:
+        read_sessions(path)
+    except (CorpusParseError, CorpusSchemaError) as exc:
+        assert exc.line_no == line_no
+        assert str(exc).startswith(f"line {line_no}: ")

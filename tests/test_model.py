@@ -33,6 +33,7 @@ from satgate.model import (
     predict_scores,
     save_checkpoint,
 )
+from satgate.model import checkpoint as checkpoint_module
 from satgate.model import net
 from satgate.synth import CorpusConfig, generate
 from satgate.training import TrainConfig, train
@@ -1361,7 +1362,7 @@ def test_checkpoint_of_older_version_rejected(tmp_path, tiny_setup):
     path = tmp_path / "old.ckpt"
     save_checkpoint(path, TINY_CONFIG, vocab, params)
     data = path.read_bytes()
-    for version in (1, 2):
+    for version in (1, 2, 3):
         path.write_bytes(data[:8] + version.to_bytes(4, "little") + data[12:])
         with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
             load_checkpoint(path)
@@ -1401,6 +1402,145 @@ def test_checkpoint_loads_from_a_pipe(tmp_path, tiny_setup):
     _, _, loaded = load_checkpoint(fifo)
     writer.join(timeout=10)
     assert all(loaded[name].tobytes() == params[name].tobytes() for name in params)
+
+
+def _payload_start(data: bytes) -> int:
+    return 20 + int.from_bytes(data[12:20], "little")
+
+
+def test_checkpoint_payload_starts_at_a_multiple_of_64_after_space_padding(tmp_path, tiny_setup):
+    """The JSON header is padded with fewer than 64 spaces, so that the
+    payload starts at a multiple of 64 bytes, for any header length."""
+    sessions, _, _ = tiny_setup
+    paddings = set()
+    for vocab_size in range(20, 28):
+        vocab = Vocabulary.build(sessions, vocab_size)
+        path = tmp_path / f"v{vocab_size}.ckpt"
+        save_checkpoint(path, TINY_CONFIG, vocab, init_params(TINY_CONFIG, vocab, seed=1))
+        data = path.read_bytes()
+        start = _payload_start(data)
+        assert start % 64 == 0
+        header = data[20:start]
+        text = header.rstrip(b" ")
+        assert json.loads(text)["vocab"] == vocab.to_dict()
+        assert len(header) - len(text) < 64
+        paddings.add(len(header) - len(text))
+    assert len(paddings) > 1  # the vocabularies give headers of different lengths
+
+
+def test_desk_checkpoint_loads_without_copying_its_payload(tmp_path, tiny_setup):
+    """A regular file's payload is mapped, not read: loading a desk
+    checkpoint allocates less than a tenth of its payload beyond what
+    parsing its header alone allocates (the vocabulary's strings and the
+    manifest, about an eighth of a desk payload), and the loaded arrays
+    hold the saved bits."""
+    sessions, _, _ = tiny_setup
+    vocab = Vocabulary.build(sessions, DESK_CONFIG.vocab_size)
+    params = init_params(DESK_CONFIG, vocab, seed=2)
+    path = tmp_path / "desk.ckpt"
+    save_checkpoint(path, DESK_CONFIG, vocab, params)
+    data = path.read_bytes()
+    payload = len(data) - _payload_start(data)
+    assert payload == 8 * sum(v.size for v in params.values())
+
+    def peak_of(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _, header_peak = peak_of(lambda: checkpoint_module._parse_header(data[20:_payload_start(data)]))
+    (_, _, loaded), peak = peak_of(lambda: load_checkpoint(path))
+    assert peak - header_peak < 0.1 * payload
+    assert all(loaded[name].tobytes() == params[name].tobytes() for name in params)
+
+
+def test_rewritten_checkpoint_leaves_a_loaded_model_its_old_weights(tmp_path, tiny_setup):
+    """``save_checkpoint`` replaces the file instead of rewriting it in
+    place, so a model loaded from the old file keeps its values, and a new
+    load sees the new ones."""
+    _, vocab, params = tiny_setup
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, TINY_CONFIG, vocab, params)
+    _, _, old = load_checkpoint(path)
+    newer = {name: value + 1.0 for name, value in params.items()}
+    save_checkpoint(path, TINY_CONFIG, vocab, newer)
+    _, _, new = load_checkpoint(path)
+    for name in params:
+        assert old[name].tobytes() == params[name].tobytes()
+        assert new[name].tobytes() == newer[name].tobytes()
+
+
+def test_checkpoint_rewrite_leaves_no_temporary_file_and_keeps_open_modes(tmp_path, tiny_setup):
+    """A saved checkpoint gets the mode ``open(path, "wb")`` would give it:
+    0o666 less the umask for a new file, and its own mode for a file it
+    replaces; no temporary file is left, also when the rename fails."""
+    _, vocab, params = tiny_setup
+    path, plain = tmp_path / "m.ckpt", tmp_path / "plain"
+    old_umask = os.umask(0o027)
+    try:
+        save_checkpoint(path, TINY_CONFIG, vocab, params)
+        with open(plain, "wb"):
+            pass
+    finally:
+        os.umask(old_umask)
+    assert path.stat().st_mode == plain.stat().st_mode
+    assert path.stat().st_mode & 0o777 == 0o640
+    first = path.read_bytes()
+    for mode in (0o600, 0o644):
+        path.chmod(mode)
+        save_checkpoint(path, TINY_CONFIG, vocab, params)
+        assert path.stat().st_mode & 0o777 == mode
+        assert path.read_bytes() == first
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "plain"]
+
+
+def test_failed_checkpoint_rewrite_keeps_the_old_file(tmp_path, tiny_setup, monkeypatch):
+    _, vocab, params = tiny_setup
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, TINY_CONFIG, vocab, params)
+    first = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        save_checkpoint(path, TINY_CONFIG, vocab, {k: v + 1.0 for k, v in params.items()})
+    assert path.read_bytes() == first
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_stream_claiming_a_huge_header_fails_as_truncated_in_bounded_memory(tmp_path):
+    """A stream's header length is only a claim: a pipe that sends a valid
+    magic and version, a header length of 200,000,000 and two bytes fails
+    as truncated after reading what arrived, in chunks, not into a buffer of
+    the claimed size."""
+    fifo = tmp_path / "pipe.ckpt"
+    os.mkfifo(fifo)
+    version = checkpoint_module._VERSION.to_bytes(4, "little")
+    sent = b"SATGCKPT" + version + (200_000_000).to_bytes(8, "little") + b"{}"
+    assert len(sent) == 22
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(sent)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError,
+                           match="truncated checkpoint: header holds 2 of 200000000 bytes"):
+            load_checkpoint(fifo)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        writer.join(timeout=10)
+    assert peak < 2_000_000
 
 
 def _rewrite_header(path, edit):

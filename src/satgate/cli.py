@@ -16,7 +16,6 @@ import csv
 import functools
 import hashlib
 import json
-import os
 import sys
 from dataclasses import fields as dataclass_fields
 
@@ -37,6 +36,7 @@ from .model import (
     predict_scores,
     save_checkpoint,
 )
+from .model.checkpoint import _replace_file
 
 __all__ = ["main", "dispatch"]
 
@@ -59,20 +59,20 @@ def _write_manifest(subcommand, primary_output, config, inputs, outputs, seed):
         "outputs": {str(path): _sha256(path) for path in outputs},
         "seed": seed,
     }
-    path = str(primary_output) + ".manifest.json"
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _replace_file(str(primary_output) + ".manifest.json", [text.encode("utf-8")])
 
 
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"config file {path}: {exc}") from exc
     if not isinstance(obj, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     return obj
 
 

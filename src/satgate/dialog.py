@@ -60,7 +60,7 @@ __all__ = [
 
 
 class CorpusParseError(ValueError):
-    """A line of a session file is not well-formed JSON."""
+    """A line of a session file is not UTF-8 or not well-formed JSON."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -452,21 +452,38 @@ def _building_corpus():
 def read_sessions(path) -> list[Session]:
     """Read a JSONL session file, preserving file order.
 
-    Raises :class:`CorpusParseError` for malformed JSON (naming the line) and
-    :class:`CorpusSchemaError` for structurally invalid records (naming the
-    line and the field).
+    Raises :class:`CorpusParseError` for bytes that are not UTF-8 or for
+    malformed JSON (naming the line) and :class:`CorpusSchemaError` for
+    structurally invalid records (naming the line and the field).
     """
     sessions = []
     with open(path, "r", encoding="utf-8") as fh, _building_corpus() as shared:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusParseError(line_no, f"malformed JSON ({exc.msg})") from exc
-            sessions.append(_session_from_obj(obj, line_no, shared))
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusParseError(line_no, f"malformed JSON ({exc.msg})") from exc
+                sessions.append(_session_from_obj(obj, line_no, shared))
+        except UnicodeDecodeError as exc:
+            # The decoder works on chunks and cannot name a line; find it again.
+            raise CorpusParseError(_undecodable_line(path), f"not UTF-8 ({exc.reason})") from exc
     return sessions
+
+
+def _undecodable_line(path) -> int:
+    """The number of the first line of ``path`` that holds bytes that are not
+    UTF-8, counted as ``read_sessions`` counts lines. The file is read again
+    with each such byte decoded to a lone surrogate (``surrogateescape``),
+    which UTF-8 never decodes to, so that line alone fails to encode back."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return line_no
 
 
 def write_sessions(sessions: Iterable[Session], path) -> None:

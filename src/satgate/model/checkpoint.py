@@ -1,13 +1,16 @@
 """Self-describing predictor checkpoints with a deterministic byte layout,
 served from a read-only mapping of the file.
 
-Layout (format 4): 8-byte magic, u32 format version (4), u64 header length,
-JSON header (config, vocabulary, tensor manifest with offsets), padded with
-spaces so that the payload starts at a multiple of 64 bytes, then the raw
-little-endian float64 tensor bytes in manifest order, each tensor starting
-where the one before it ends. Identical contents serialize to identical
-bytes. Files of any other version, version 3 (the same layout without the
-padding) included, are rejected with a ``CheckpointError`` that names it.
+Layout (format 5): 8-byte magic, u32 format version (5), u64 header length,
+a JSON header holding exactly ``config`` and ``vocab``, padded with spaces
+so that the payload starts at a multiple of 64 bytes, then the payload: the
+tensors of ``net.param_shapes(config, vocab)`` in name order, each of the
+shape ``param_shapes`` gives it, in C order as little-endian float64, end to
+end, up to the end of the file. The config and vocabulary thus fix every
+tensor's place, and the header lists none. Identical contents serialize to
+identical bytes. Any other version is a ``CheckpointError`` that names it:
+version 4 (this payload after a header that also listed every tensor's name,
+shape and offset) and version 3 (version 4 without the padding) included.
 
 ``load_checkpoint`` maps a regular file read-only and views the payload in
 place: the weights are never copied, and every process that loads the same
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import itertools
 import json
 import math
 import mmap
@@ -39,7 +41,7 @@ from .vocab import Vocabulary
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError"]
 
 _MAGIC = b"SATGCKPT"
-_VERSION = 4
+_VERSION = 5
 _PREFIX = struct.Struct("<IQ")  # format version, header length
 _HEADER_START = len(_MAGIC) + _PREFIX.size
 # The payload starts at a multiple of this many bytes, a cache line: an
@@ -56,27 +58,33 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, config: PredictorConfig, vocab: Vocabulary, params: dict) -> None:
-    names = sorted(params)
-    manifest = []
-    offset = 0
-    blobs = []
-    for name in names:
-        arr = np.asarray(params[name], dtype=np.float64)
-        blob = arr.tobytes()  # C-order bytes; preserves 0-d shapes
-        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(blob)
-        offset += len(blob)
+    """Write ``params``, exactly the tensors of ``param_shapes(config,
+    vocab)``: a missing, extra or reshaped tensor is a ``CheckpointError``
+    that names it, raised before any file is created, since a load could not
+    tell a transposed tensor of the right size from the right one."""
+    shapes = _layout(config, vocab)
+    found = {name: np.shape(value) for name, value in params.items()}
+    if found != shapes:
+        name = min(name for name in shapes.keys() | found.keys()
+                   if found.get(name) != shapes.get(name))
+        raise CheckpointError(
+            f"tensor {name!r} does not match the parameter set: shape "
+            f"{found.get(name, 'absent')}, expected {shapes.get(name, 'absent')}"
+        )
     header = json.dumps(
-        {
-            "config": config.to_dict(),
-            "vocab": vocab.to_dict(),
-            "tensors": manifest,
-        },
+        {"config": config.to_dict(), "vocab": vocab.to_dict()},
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
     header += b" " * (-(_HEADER_START + len(header)) % _ALIGN)
+    # C-order bytes; tobytes preserves 0-d shapes.
+    blobs = [np.asarray(params[name], dtype="<f8").tobytes() for name in shapes]
     _replace_file(path, [_MAGIC, _PREFIX.pack(_VERSION, len(header)), header, *blobs])
+
+
+def _layout(config: PredictorConfig, vocab: Vocabulary) -> dict:
+    """Name to shape of every tensor of the payload, in payload order."""
+    return dict(sorted(param_shapes(config, vocab).items()))
 
 
 def _replace_file(path, chunks) -> None:
@@ -107,10 +115,11 @@ def _replace_file(path, chunks) -> None:
 
 
 def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, LoadedParams]:
-    """Config, vocabulary and parameters. The parameters are views into one
-    flat vector in the file's tensor order (``flat_views``); a tensor that
-    does not start where the one before it ends, or that the file ends
-    inside, is a ``CheckpointError``.
+    """Config, vocabulary and parameters: views into one flat vector in
+    payload order (``flat_views``), laid out as the parsed config and
+    vocabulary define. An unknown header field is a ``CheckpointError`` that
+    names it, and so is a payload of another length: a short one names the
+    first tensor that it ends in.
 
     A regular file is checked first: its size (one ``os.fstat``) bounds what
     its header may claim, so a file too short for its header or tensors
@@ -145,29 +154,22 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, LoadedParams]:
             raise CheckpointError(
                 f"truncated checkpoint: header holds {len(raw_header)} of {header_len} bytes"
             )
-        config, vocab, tensors = _parse_header(raw_header)
-        end = 0
-        for name, shape, start in tensors:
-            if start != end:
-                raise CheckpointError(
-                    f"corrupt checkpoint header: tensor {name!r} starts at payload byte "
-                    f"{start}, but the tensors before it end at byte {end}"
-                )
-            end = start + 8 * math.prod(shape)
+        config, vocab = _parse_header(raw_header)
+        shapes = _layout(config, vocab)
+        end = 8 * sum(map(math.prod, shapes.values()))
         payload_start = _HEADER_START + header_len
-        room = size - payload_start  # the payload a regular file holds
-        if room < end:
-            _raise_truncated(tensors, room)
         if regular:
-            mapped = mmap.mmap(fh.fileno(), payload_start + end, access=mmap.ACCESS_READ)
+            if size - payload_start != end:
+                _raise_bad_length(shapes, end, size - payload_start)
+            mapped = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ)
             flat = np.frombuffer(mapped, "<f8", end // 8, payload_start)
         else:
             flat = np.empty(end // 8, dtype="<f8")
-            got = fh.readinto(flat)
-            if got < end:
-                _raise_truncated(tensors, got)
+            got = fh.readinto(flat) + len(fh.read(1))  # one byte more: the stream runs on
+            if got != end:
+                _raise_bad_length(shapes, end, got)
             flat.flags.writeable = False
-    _, params = flat_views({name: shape for name, shape, _ in tensors}, flat)
+    _, params = flat_views(shapes, flat)
     return config, vocab, LoadedParams(params)
 
 
@@ -184,46 +186,37 @@ def _read_up_to(fh, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def _raise_truncated(tensors, got) -> None:
-    """Raise the CheckpointError that names the first tensor ending past
-    payload byte ``got``."""
-    for name, shape, start in tensors:
+def _raise_bad_length(shapes: dict, end: int, got: int) -> None:
+    """Raise the CheckpointError for a payload of ``got`` bytes, not ``end``;
+    a short one names the first tensor of ``shapes`` that ends past it."""
+    if got > end:
+        raise CheckpointError(f"checkpoint payload runs past the {end} bytes of its tensors")
+    start = 0
+    for name, shape in shapes.items():
         stop = start + 8 * math.prod(shape)
         if stop > got:
             raise CheckpointError(
                 f"truncated checkpoint: tensor {name!r} needs payload bytes "
                 f"{start}..{stop}, but the payload holds {got}"
             )
+        start = stop
 
 
-def _parse_header(raw_header: bytes):
-    """(config, vocab, [(name, shape, offset)]) from the JSON header, with the
-    tensors checked against the parameter set the config and vocab define. A
-    missing or wrongly typed field, or a tensor listed twice, is a
-    CheckpointError that names it."""
+def _parse_header(raw_header: bytes) -> tuple[PredictorConfig, Vocabulary]:
+    """(config, vocab) from the JSON header. A missing, unknown or wrongly
+    typed field is a CheckpointError that names it."""
     try:
         header = json.loads(raw_header.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointError("corrupt checkpoint header: not a JSON object")
+    unknown = sorted(header.keys() - {"config", "vocab"})
+    if unknown:
+        raise CheckpointError(f"corrupt checkpoint header: unknown field {unknown[0]!r}")
     config = _header_field(header, "config", _parse_config)
     vocab = _header_field(header, "vocab", Vocabulary.from_dict)
-    tensors = _header_field(header, "tensors", _parse_tensors)
-    expected = param_shapes(config, vocab)
-    found = {name: shape for name, shape, _ in tensors}
-    if len(found) < len(tensors):
-        names = [name for name, _, _ in tensors]
-        twice = next(name for name in names if names.count(name) > 1)
-        raise CheckpointError(f"corrupt checkpoint header: tensor {twice!r} is listed twice")
-    if found != expected:
-        name = min(name for name in expected.keys() | found.keys()
-                   if found.get(name) != expected.get(name))
-        raise CheckpointError(
-            f"tensor {name!r} does not match the parameter set: checkpoint shape "
-            f"{found.get(name, 'absent')}, expected {expected.get(name, 'absent')}"
-        )
-    return config, vocab, tensors
+    return config, vocab
 
 
 def _header_field(header: dict, field: str, parse):
@@ -248,32 +241,3 @@ def _parse_config(entry) -> PredictorConfig:
         if name not in entry:
             raise KeyError(name)
     return PredictorConfig.from_dict(entry)
-
-
-def _parse_tensors(entries) -> list[tuple[str, tuple[int, ...], int]]:
-    """(name, shape, offset) of each manifest entry: a string name, and JSON
-    integers (not booleans, floats or strings) for the shape and offset.
-
-    Loading a desk checkpoint takes about 0.25 ms, most of it the header
-    parse, so the types are checked over the whole manifest at once, at C
-    speed; only a failed check walks the entries to name the first wrong
-    one."""
-    names = [entry["name"] for entry in entries]
-    shapes = [entry["shape"] for entry in entries]
-    offsets = [entry["offset"] for entry in entries]
-    if not (_all_of(str, names) and _all_of(list, shapes)
-            and _all_of(int, itertools.chain(offsets, *shapes))):
-        for name, shape, offset in zip(names, shapes, offsets):
-            if type(name) is not str:
-                raise ValueError(f"tensor name {name!r} is not a string")
-            if type(shape) is not list or not _all_of(int, shape):
-                raise ValueError(f"tensor {name!r} has shape {shape!r}, not a list of integers")
-            if type(offset) is not int:
-                raise ValueError(f"tensor {name!r} has offset {offset!r}, not an integer")
-    return list(zip(names, map(tuple, shapes), offsets))
-
-
-def _all_of(kind: type, values) -> bool:
-    """Whether every value is exactly of type ``kind`` (no subclass, so a
-    boolean is not an int)."""
-    return {kind}.issuperset(map(type, values))

@@ -3,6 +3,7 @@ import csv
 import gc
 import io
 import json
+import os
 from dataclasses import asdict
 
 import pytest
@@ -153,12 +154,32 @@ def test_every_manifest_is_indented_sorted_json(tmp_path, workdir, corpus_path, 
     paths = sorted(workdir.glob("*.manifest.json")) + sorted(tmp_path.glob("*.manifest.json"))
     subcommands = set()
     for path in paths:
-        text = path.read_text(encoding="utf-8")
-        manifest = json.loads(text)
+        data = path.read_bytes()
+        manifest = json.loads(data)
         subcommands.add(manifest["subcommand"])
-        assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n", path.name
+        assert data == (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode(), path.name
     assert {"gen-corpus", "train-weak", "label", "train", "extract-features", "eval",
             "simulate"} <= subcommands
+
+
+def test_failed_manifest_write_leaves_the_old_manifest_and_no_temporary_file(
+        tmp_path, corpus_path, monkeypatch, capsys):
+    """A manifest is written to a file of its own and renamed over the old
+    one, so a run that fails to rename leaves the old manifest whole and no
+    temporary file."""
+    argv = ["extract-features", "--in", str(corpus_path), "--out", str(tmp_path / "f.csv")]
+    assert dispatch(argv) == 0
+    manifest = tmp_path / "f.csv.manifest.json"
+    first = manifest.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    assert dispatch(argv) == 1
+    assert "satgate: error: OSError: rename failed" in capsys.readouterr().err
+    assert manifest.read_bytes() == first
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "f.csv.manifest.json"]
 
 
 def test_gen_corpus_deterministic_rerun(workdir, corpus_path):
@@ -424,6 +445,27 @@ def test_runtime_error_exits_one(workdir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("satgate: error:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["gen-corpus", "train", "simulate"])
+@pytest.mark.parametrize("content, problem", [
+    (b'{"seed": 1,', "Expecting property name"),
+    (b'{"seed": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+])
+def test_unreadable_config_file_fails_naming_it(tmp_path, labeled_path, capsys, command,
+                                                content, problem):
+    """A config file that is not UTF-8 or not JSON fails as a ValueError
+    that names the file."""
+    config = tmp_path / "bad-config.json"
+    config.write_bytes(content)
+    flag = "--variants" if command == "simulate" else "--config"
+    argv = [command, flag, str(config), "--out", str(tmp_path / "out")]
+    if command != "gen-corpus":
+        argv += ["--corpus", str(labeled_path)]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"satgate: error: ValueError: config file {config}: {problem}")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command, config, key", [

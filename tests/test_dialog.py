@@ -103,6 +103,31 @@ def test_malformed_line_cites_line_number(tmp_path):
         read_sessions(path)
 
 
+@pytest.mark.parametrize("bad, newline", [
+    (b"\xff", b"\n"),  # a byte that starts no UTF-8 sequence
+    (b"\xc3", b"\n"),  # a sequence cut short by the end of its line
+    (b"\xe2\x82", b"\r\n"),
+])
+def test_line_that_is_not_utf8_cites_line_number(tmp_path, small_corpus, bad, newline):
+    """Bytes that are not UTF-8 fail as a ``CorpusParseError`` naming their
+    line, also where they end a line or the file ends without a newline."""
+    path = tmp_path / "bad.jsonl"
+    write_sessions(small_corpus[:5], path)
+    lines = path.read_bytes().splitlines()
+    lines[3] = lines[3][:30] + bad + lines[3][30:]
+    path.write_bytes(newline.join(lines) + newline)
+    with pytest.raises(CorpusParseError, match=r"^line 4: not UTF-8 \(") as info:
+        read_sessions(path)
+    assert info.value.line_no == 4
+    lines[4] += bad
+    path.write_bytes(newline.join(lines))
+    with pytest.raises(CorpusParseError, match="line 4"):
+        read_sessions(path)
+    path.write_bytes(newline.join(lines[:3] + lines[4:]))
+    with pytest.raises(CorpusParseError, match="line 4"):
+        read_sessions(path)
+
+
 def test_missing_field_is_schema_error(tmp_path):
     path = tmp_path / "missing.jsonl"
     obj = {"session_id": "x", "turns": [{"query": ["hi"]}]}

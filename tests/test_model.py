@@ -1341,20 +1341,40 @@ def test_checkpoint_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("edit", ["rename", "reshape"])
+@pytest.mark.parametrize("edit", ["rename", "reshape", "extra"])
 def test_checkpoint_tensors_checked_against_parameter_set(tmp_path, tiny_setup, edit):
+    """A params dict whose names or shapes differ from ``param_shapes``
+    fails at save, naming the tensor, and creates no file: the file lists
+    no tensors, so a load could not catch it."""
     _, vocab, params = tiny_setup
     params = dict(params)
     if edit == "rename":
         params["tok_emb_old"] = params.pop("tok_emb")
-        expect = r"tensor 'tok_emb' .* checkpoint shape absent, expected \(\d+, 8\)"
-    else:
+        expect = r"tensor 'tok_emb' .* shape absent, expected \(\d+, 8\)"
+    elif edit == "reshape":
         params["pos_emb"] = params["pos_emb"][:-1]
-        expect = r"tensor 'pos_emb' .* checkpoint shape \(6, 8\), expected \(7, 8\)"
-    path = tmp_path / "edited.ckpt"
-    save_checkpoint(path, TINY_CONFIG, vocab, params)
+        expect = r"tensor 'pos_emb' .* shape \(6, 8\), expected \(7, 8\)"
+    else:
+        params["zz_extra"] = np.zeros(3)
+        expect = r"tensor 'zz_extra' .* shape \(3,\), expected absent"
     with pytest.raises(CheckpointError, match=expect):
-        load_checkpoint(path)
+        save_checkpoint(tmp_path / "edited.ckpt", TINY_CONFIG, vocab, params)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_checkpoint_payload_is_the_tensors_in_name_order(tmp_path, tiny_setup):
+    """The header holds only the config and vocabulary, and the payload is
+    every tensor of ``param_shapes`` in name order, as little-endian float64
+    in C order, up to the end of the file."""
+    _, vocab, params = tiny_setup
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, TINY_CONFIG, vocab, params)
+    data = path.read_bytes()
+    start = _payload_start(data)
+    assert json.loads(data[20:start]) == {"config": TINY_CONFIG.to_dict(),
+                                          "vocab": vocab.to_dict()}
+    names = sorted(net.param_shapes(TINY_CONFIG, vocab))
+    assert data[start:] == b"".join(params[name].astype("<f8").tobytes() for name in names)
 
 
 def test_checkpoint_of_older_version_rejected(tmp_path, tiny_setup):
@@ -1362,7 +1382,7 @@ def test_checkpoint_of_older_version_rejected(tmp_path, tiny_setup):
     path = tmp_path / "old.ckpt"
     save_checkpoint(path, TINY_CONFIG, vocab, params)
     data = path.read_bytes()
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         path.write_bytes(data[:8] + version.to_bytes(4, "little") + data[12:])
         with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
             load_checkpoint(path)
@@ -1384,24 +1404,55 @@ def test_truncated_or_corrupt_checkpoint_raises_checkpoint_error(tmp_path, tiny_
         load_checkpoint(cut_path)
 
 
+def _pipe_sending(tmp_path, data: bytes):
+    """A named pipe in ``tmp_path`` and the started thread that writes
+    ``data`` into it."""
+    fifo = tmp_path / "pipe.ckpt"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return fifo, writer
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_checkpoint_loads_from_a_pipe(tmp_path, tiny_setup):
     """A stream reports no size; the payload is checked by what was read."""
     _, vocab, params = tiny_setup
     path = tmp_path / "full.ckpt"
     save_checkpoint(path, TINY_CONFIG, vocab, params)
-    fifo = tmp_path / "pipe.ckpt"
-    os.mkfifo(fifo)
-
-    def write():
-        with open(fifo, "wb") as fh:
-            fh.write(path.read_bytes())
-
-    writer = threading.Thread(target=write, daemon=True)
-    writer.start()
+    fifo, writer = _pipe_sending(tmp_path, path.read_bytes())
     _, _, loaded = load_checkpoint(fifo)
     writer.join(timeout=10)
     assert all(loaded[name].tobytes() == params[name].tobytes() for name in params)
+
+
+@pytest.mark.parametrize("source", ["file", "pipe", "smaller-config"])
+def test_checkpoint_payload_longer_than_its_tensors_fails(tmp_path, tiny_setup, source):
+    """A payload that runs on past the tensors its config and vocabulary
+    define fails: bytes appended to a file or a stream, or a header edited
+    to describe a smaller model."""
+    _, vocab, params = tiny_setup
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, TINY_CONFIG, vocab, params)
+    if source == "smaller-config":
+        _rewrite_header(path, lambda h: {**h, "config": {**h["config"], "num_turns": 1}})
+    else:
+        path.write_bytes(path.read_bytes() + bytes(8))
+    writer = None
+    if source == "pipe":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("needs named pipes")
+        path, writer = _pipe_sending(tmp_path, path.read_bytes())
+    with pytest.raises(CheckpointError, match=r"payload runs past the \d+ bytes of its tensors"):
+        load_checkpoint(path)
+    if writer is not None:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 def _payload_start(data: bytes) -> int:
@@ -1431,9 +1482,8 @@ def test_checkpoint_payload_starts_at_a_multiple_of_64_after_space_padding(tmp_p
 def test_desk_checkpoint_loads_without_copying_its_payload(tmp_path, tiny_setup):
     """A regular file's payload is mapped, not read: loading a desk
     checkpoint allocates less than a tenth of its payload beyond what
-    parsing its header alone allocates (the vocabulary's strings and the
-    manifest, about an eighth of a desk payload), and the loaded arrays
-    hold the saved bits."""
+    parsing its header (the vocabulary's strings) alone allocates, and the
+    loaded arrays hold the saved bits."""
     sessions, _, _ = tiny_setup
     vocab = Vocabulary.build(sessions, DESK_CONFIG.vocab_size)
     params = init_params(DESK_CONFIG, vocab, seed=2)
@@ -1519,18 +1569,10 @@ def test_stream_claiming_a_huge_header_fails_as_truncated_in_bounded_memory(tmp_
     magic and version, a header length of 200,000,000 and two bytes fails
     as truncated after reading what arrived, in chunks, not into a buffer of
     the claimed size."""
-    fifo = tmp_path / "pipe.ckpt"
-    os.mkfifo(fifo)
     version = checkpoint_module._VERSION.to_bytes(4, "little")
     sent = b"SATGCKPT" + version + (200_000_000).to_bytes(8, "little") + b"{}"
     assert len(sent) == 22
-
-    def write():
-        with open(fifo, "wb") as fh:
-            fh.write(sent)
-
-    writer = threading.Thread(target=write, daemon=True)
-    writer.start()
+    fifo, writer = _pipe_sending(tmp_path, sent)
     tracemalloc.start()
     try:
         with pytest.raises(CheckpointError,
@@ -1552,19 +1594,6 @@ def _rewrite_header(path, edit):
     path.write_bytes(data[:12] + len(raw).to_bytes(8, "little") + raw + data[header_end:])
 
 
-def _drop_tensor_key(key):
-    def edit(header):
-        del header["tensors"][0][key]
-    return edit
-
-
-def _retype_tensor_field(index, field, retype):
-    def edit(header):
-        entry = header["tensors"][index]
-        entry[field] = retype(entry[field])
-    return edit
-
-
 @pytest.mark.parametrize("edit, expect", [
     pytest.param(lambda h: h["config"].update(depth=3),
                  "bad 'config': .*unexpected keyword argument 'depth'", id="unknown-config-key"),
@@ -1573,28 +1602,12 @@ def _retype_tensor_field(index, field, retype):
     pytest.param(lambda h: h.pop("config"), "no 'config'", id="no-config"),
     pytest.param(lambda h: h.pop("vocab"), "no 'vocab'", id="no-vocab"),
     pytest.param(lambda h: h["vocab"].pop("tokens"), "'vocab' lacks 'tokens'", id="no-vocab-tokens"),
-    pytest.param(lambda h: h.pop("tensors"), "no 'tensors'", id="no-tensors"),
-    pytest.param(_drop_tensor_key("offset"), "'tensors' lacks 'offset'", id="no-tensor-offset"),
-    pytest.param(_drop_tensor_key("shape"), "'tensors' lacks 'shape'", id="no-tensor-shape"),
-    pytest.param(lambda h: h["tensors"][1].update(offset=h["tensors"][1]["offset"] + 8),
-                 "tensor '.*' starts at payload byte", id="tensor-offset-gap"),
     pytest.param(None, "not a JSON object", id="header-is-a-list"),
-    pytest.param(_retype_tensor_field(0, "shape", lambda shape: [float(n) for n in shape]),
-                 r"bad 'tensors': tensor '\w+' has shape \[8.0, 8.0\], not a list of integers",
-                 id="float-shape"),
-    pytest.param(_retype_tensor_field(1, "offset", str),
-                 r"bad 'tensors': tensor '\w+' has offset '\d+', not an integer",
-                 id="string-offset"),
-    pytest.param(_retype_tensor_field(0, "offset", bool),
-                 r"bad 'tensors': tensor '\w+' has offset False, not an integer", id="bool-offset"),
-    pytest.param(_retype_tensor_field(0, "name", len),
-                 r"bad 'tensors': tensor name \d+ is not a string", id="non-string-name"),
+    pytest.param(lambda h: h.update(tensors=[]), "unknown field 'tensors'", id="leftover-tensors"),
     pytest.param(lambda h: h["config"].pop("num_heads"), "'config' lacks 'num_heads'",
                  id="no-config-field"),
     pytest.param(lambda h: h["vocab"].update(tokens=[7] + h["vocab"]["tokens"][1:]),
                  "bad 'vocab': tokens must be a list of strings", id="non-string-token"),
-    pytest.param(lambda h: h["tensors"][1].update(name=h["tensors"][0]["name"]),
-                 "tensor '\\w+' is listed twice", id="repeated-tensor-name"),
 ])
 def test_malformed_checkpoint_header_raises_checkpoint_error(tmp_path, tiny_setup, edit, expect):
     _, vocab, params = tiny_setup
@@ -1620,14 +1633,10 @@ def test_checkpoint_too_short_for_its_header_fails_before_allocating(tmp_path, t
     _, vocab, params = tiny_setup
     path = tmp_path / "short.ckpt"
     save_checkpoint(path, TINY_CONFIG, vocab, params)
-    shapes = net.param_shapes(DEPLOYED_CONFIG, vocab)
-    manifest, offset = [], 0
-    for name in sorted(shapes):
-        manifest.append({"name": name, "shape": list(shapes[name]), "offset": offset})
-        offset += 8 * math.prod(shapes[name])
-    _rewrite_header(path, lambda h: {**h, "config": DEPLOYED_CONFIG.to_dict(), "tensors": manifest})
+    _rewrite_header(path, lambda h: {**h, "config": DEPLOYED_CONFIG.to_dict()})
     size = path.stat().st_size
-    assert offset > 1000 * size
+    shapes = net.param_shapes(DEPLOYED_CONFIG, vocab)
+    assert 8 * sum(math.prod(shape) for shape in shapes.values()) > 1000 * size
     tracemalloc.start()
     try:
         with pytest.raises(CheckpointError, match="truncated checkpoint: tensor"):
@@ -1640,10 +1649,8 @@ def test_checkpoint_too_short_for_its_header_fails_before_allocating(tmp_path, t
 
 def _must_hold(path) -> bool:
     """Whether a saved checkpoint's header must hold the key at ``path``:
-    the header's own keys, every config and vocabulary field, and each
-    tensor entry's name, shape and offset."""
-    return (len(path) == 1 or len(path) == 2 and path[0] in ("config", "vocab")
-            or len(path) == 3 and path[0] == "tensors")
+    the header's own keys and every config and vocabulary field."""
+    return len(path) == 1 or len(path) == 2 and path[0] in ("config", "vocab")
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

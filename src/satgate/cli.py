@@ -117,6 +117,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and then each row of ``rows`` to ``path`` as CSV."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # --- subcommands -----------------------------------------------------------
 
 
@@ -145,11 +153,9 @@ def _cmd_extract_features(args) -> int:
     sessions = read_sessions(args.infile)
     extractor = weaklabel.FeatureExtractor.fit(sessions)
     X, index = weaklabel.features_matrix(sessions, extractor)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["session_id", "turn"] + list(weaklabel.FEATURE_NAMES))
-        for row, (si, ti) in zip(X, index):
-            writer.writerow([sessions[si].session_id, ti] + [_fmt(float(v)) for v in row])
+    rows = ([sessions[si].session_id, ti] + [_fmt(float(v)) for v in row]
+            for row, (si, ti) in zip(X, index))
+    _write_csv(args.out, ["session_id", "turn", *weaklabel.FEATURE_NAMES], rows)
     _write_manifest(
         "extract-features",
         args.out,
@@ -256,11 +262,8 @@ def _cmd_train(args) -> int:
 
     outputs = [args.out]
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "step", "train_loss", "val_auc"])
-            for row in result.trace:
-                writer.writerow([row.epoch, row.step, _fmt(row.train_loss), _fmt(row.val_auc)])
+        rows = ([r.epoch, r.step, _fmt(r.train_loss), _fmt(r.val_auc)] for r in result.trace)
+        _write_csv(args.trace, ["epoch", "step", "train_loss", "val_auc"], rows)
         outputs.append(args.trace)
 
     _write_manifest(
@@ -301,17 +304,10 @@ def _cmd_eval(args) -> int:
     ]
     acc, threshold = metrics.accuracy_with_tuned_threshold(scores, labels)
     rows += [("accuracy", acc), ("accuracy_threshold", threshold)]
-    with open(args.report, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        for name, value in rows:
-            writer.writerow([name, _fmt(value)])
+    _write_csv(args.report, ["metric", "value"], [[name, _fmt(value)] for name, value in rows])
     pr_path = str(args.report) + ".pr.csv"
-    with open(pr_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "precision", "recall"])
-        for t, precision, recall in metrics.precision_recall_table(scores, labels):
-            writer.writerow([_fmt(t), _fmt(precision), _fmt(recall)])
+    pr_rows = ([_fmt(v) for v in row] for row in metrics.precision_recall_table(scores, labels))
+    _write_csv(pr_path, ["threshold", "precision", "recall"], pr_rows)
     _write_manifest(
         "eval",
         args.report,
@@ -419,13 +415,8 @@ def _cmd_simulate(args) -> int:
         partition_weights=settings["partition_weights"],
         paired=settings["paired"],
     )
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "avg_cus", "clarification_rate", "n_sessions"])
-        for report in reports:
-            writer.writerow(
-                [report.name, _fmt(report.avg_cus), _fmt(report.clarification_rate), report.n_sessions]
-            )
+    rows = ([r.name, _fmt(r.avg_cus), _fmt(r.clarification_rate), r.n_sessions] for r in reports)
+    _write_csv(args.out, ["variant", "avg_cus", "clarification_rate", "n_sessions"], rows)
     _write_manifest(
         "simulate",
         args.out,

@@ -106,10 +106,12 @@ def accuracy_with_tuned_threshold(scores, labels) -> tuple[float, float]:
     (accuracy, smallest threshold achieving it).
     """
     s, y = _scores_labels(scores, labels)
-    if len(y) == 0:
+    n = len(y)
+    if n == 0:
         raise ValueError("scores must be non-empty")
-    predictions = s[None, :] >= _THRESHOLDS[:, None]
-    accuracies = (predictions == (y[None, :] == 1)).mean(axis=1)
+    npred, tp = _grid_counts(s, y)
+    # Correct = true positives + true negatives = tp + (n - npred - (n_pos - tp)).
+    accuracies = (n - npred - int(y.sum()) + 2 * tp) / n
     best = int(np.argmax(accuracies))  # argmax takes the smallest index on ties
     return float(accuracies[best]), float(_THRESHOLDS[best])
 
@@ -118,16 +120,18 @@ def precision_recall_table(scores, labels) -> list[tuple[float, float, float]]:
     """(threshold, precision, recall) rows over the grid that accuracy is tuned
     on; precision is NaN when nothing is predicted positive."""
     s, y = _scores_labels(scores, labels)
+    npred, tp = _grid_counts(s, y)
     n_pos = int(y.sum())
-    rows = []
-    for t in _THRESHOLDS.tolist():
-        pred = s >= t
-        tp = int(np.sum(pred & (y == 1)))
-        npred = int(np.sum(pred))
-        precision = tp / npred if npred else float("nan")
-        recall = tp / n_pos if n_pos else float("nan")
-        rows.append((t, precision, recall))
-    return rows
+    precision = np.divide(tp, npred, out=np.full(len(tp), np.nan), where=npred > 0)
+    recall = tp / n_pos if n_pos else np.full(len(tp), np.nan)
+    return list(zip(_THRESHOLDS.tolist(), precision.tolist(), recall.tolist()))
+
+
+def _grid_counts(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted-positive and true-positive counts at each threshold of
+    ``_THRESHOLDS``, predicting positive where score >= threshold."""
+    predicted = s[None, :] >= _THRESHOLDS[:, None]
+    return predicted.sum(axis=1), predicted[:, y == 1].sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ shape and offset) and version 3 (version 4 without the padding) included.
 
 ``load_checkpoint`` maps a regular file read-only and views the payload in
 place: the weights are never copied, and every process that loads the same
-file shares one copy of them through the page cache. A stream (a pipe) is
-read into one vector instead. ``save_checkpoint`` writes a new file and
-renames it over the old one, so that a rewrite never changes the bytes under
-a live mapping.
+file shares one copy of them through the page cache. Anything else, such as
+a pipe or a device, is a ``CheckpointError``. ``save_checkpoint`` writes a
+new file and renames it over the old one, so that a rewrite never changes
+the bytes under a live mapping.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ _HEADER_START = len(_MAGIC) + _PREFIX.size
 # The payload starts at a multiple of this many bytes, a cache line: an
 # unaligned payload slows every product over the mapped weights.
 _ALIGN = 64
-# A stream's header is read at most this many bytes at a time, so a stream
-# that claims a huge header and then ends costs one chunk, not the claim.
-_READ_CHUNK = 1 << 20
 _CONFIG_FIELDS = tuple(field.name for field in dataclasses.fields(PredictorConfig))
 
 
@@ -121,15 +118,15 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, LoadedParams]:
     names it, and so is a payload of another length: a short one names the
     first tensor that it ends in.
 
-    A regular file is checked first: its size (one ``os.fstat``) bounds what
-    its header may claim, so a file too short for its header or tensors
-    fails before anything of the claimed size is read or mapped. Then the
-    file is mapped read-only, and the flat vector is the mapped payload
-    itself: loading copies no weights, and processes that serve one file
-    share its pages. Rewrite a loaded file only with ``save_checkpoint``,
-    which replaces it; truncating it in place would fault in every process
-    that maps it. A stream (a pipe) reports no size; its header is read in
-    bounded chunks and its payload into one vector, checked by what arrived.
+    ``path`` must name a regular file; anything else is a
+    ``CheckpointError`` that names it. The file's size (one ``os.fstat``)
+    bounds what its header may claim, so a file too short for its header or
+    tensors fails before anything of the claimed size is read or mapped.
+    Then the file is mapped read-only, and the flat vector is the mapped
+    payload itself: loading copies no weights, and processes that serve one
+    file share its pages. Rewrite a loaded file only with
+    ``save_checkpoint``, which replaces it; truncating it in place would
+    fault in every process that maps it.
 
     The parameters come as a read-only mapping (``net.LoadedParams``) over
     read-only views: an entry cannot be replaced, and an in-place write
@@ -138,8 +135,9 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, LoadedParams]:
     window on the mapping; ``train`` copies them into a vector of its own."""
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
-        regular = stat.S_ISREG(info.st_mode)
-        size = info.st_size if regular else math.inf
+        if not stat.S_ISREG(info.st_mode):
+            raise CheckpointError(f"checkpoint {os.fsdecode(path)!r} is not a regular file")
+        size = info.st_size
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise CheckpointError(f"not a predictor checkpoint: bad magic {magic!r}")
@@ -149,7 +147,7 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, LoadedParams]:
         version, header_len = _PREFIX.unpack(prefix)
         if version != _VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        raw_header = _read_up_to(fh, min(header_len, size - _HEADER_START))
+        raw_header = fh.read(min(header_len, size - _HEADER_START))
         if len(raw_header) < header_len:
             raise CheckpointError(
                 f"truncated checkpoint: header holds {len(raw_header)} of {header_len} bytes"
@@ -158,32 +156,12 @@ def load_checkpoint(path) -> tuple[PredictorConfig, Vocabulary, LoadedParams]:
         shapes = _layout(config, vocab)
         end = 8 * sum(map(math.prod, shapes.values()))
         payload_start = _HEADER_START + header_len
-        if regular:
-            if size - payload_start != end:
-                _raise_bad_length(shapes, end, size - payload_start)
-            mapped = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ)
-            flat = np.frombuffer(mapped, "<f8", end // 8, payload_start)
-        else:
-            flat = np.empty(end // 8, dtype="<f8")
-            got = fh.readinto(flat) + len(fh.read(1))  # one byte more: the stream runs on
-            if got != end:
-                _raise_bad_length(shapes, end, got)
-            flat.flags.writeable = False
+        if size - payload_start != end:
+            _raise_bad_length(shapes, end, size - payload_start)
+        mapped = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ)
+        flat = np.frombuffer(mapped, "<f8", end // 8, payload_start)
     _, params = flat_views(shapes, flat)
     return config, vocab, LoadedParams(params)
-
-
-def _read_up_to(fh, n: int) -> bytes:
-    """The next ``n`` bytes of ``fh``, fewer only where it ends, read at most
-    ``_READ_CHUNK`` bytes at a time."""
-    chunks = []
-    while n > 0:
-        chunk = fh.read(min(n, _READ_CHUNK))
-        if not chunk:
-            break
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
 
 
 def _raise_bad_length(shapes: dict, end: int, got: int) -> None:

@@ -1406,36 +1406,49 @@ def test_truncated_or_corrupt_checkpoint_raises_checkpoint_error(tmp_path, tiny_
 
 def _pipe_sending(tmp_path, data: bytes):
     """A named pipe in ``tmp_path`` and the started thread that writes
-    ``data`` into it."""
+    ``data`` into it; a reader that closes the pipe early ends the write."""
     fifo = tmp_path / "pipe.ckpt"
     os.mkfifo(fifo)
 
     def write():
-        with open(fifo, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:
+            pass
 
     writer = threading.Thread(target=write, daemon=True)
     writer.start()
     return fifo, writer
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_checkpoint_loads_from_a_pipe(tmp_path, tiny_setup):
-    """A stream reports no size; the payload is checked by what was read."""
-    _, vocab, params = tiny_setup
-    path = tmp_path / "full.ckpt"
-    save_checkpoint(path, TINY_CONFIG, vocab, params)
-    fifo, writer = _pipe_sending(tmp_path, path.read_bytes())
-    _, _, loaded = load_checkpoint(fifo)
-    writer.join(timeout=10)
-    assert all(loaded[name].tobytes() == params[name].tobytes() for name in params)
+@pytest.mark.parametrize("source", ["devnull", "fifo"])
+def test_checkpoint_that_is_not_a_regular_file_fails_naming_it(tmp_path, tiny_setup, source):
+    """Only a regular file can be mapped: a device, or a pipe fed a valid
+    checkpoint, fails with one line that names the path."""
+    writer = None
+    if source == "devnull":
+        path = os.devnull
+    else:
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("needs named pipes")
+        _, vocab, params = tiny_setup
+        saved = tmp_path / "full.ckpt"
+        save_checkpoint(saved, TINY_CONFIG, vocab, params)
+        path, writer = _pipe_sending(tmp_path, saved.read_bytes())
+    with pytest.raises(CheckpointError) as caught:
+        load_checkpoint(path)
+    assert str(caught.value) == f"checkpoint {str(path)!r} is not a regular file"
+    if writer is not None:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
-@pytest.mark.parametrize("source", ["file", "pipe", "smaller-config"])
+@pytest.mark.parametrize("source", ["file", "smaller-config"])
 def test_checkpoint_payload_longer_than_its_tensors_fails(tmp_path, tiny_setup, source):
     """A payload that runs on past the tensors its config and vocabulary
-    define fails: bytes appended to a file or a stream, or a header edited
-    to describe a smaller model."""
+    define fails: bytes appended to the file, or a header edited to describe
+    a smaller model."""
     _, vocab, params = tiny_setup
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, TINY_CONFIG, vocab, params)
@@ -1443,16 +1456,8 @@ def test_checkpoint_payload_longer_than_its_tensors_fails(tmp_path, tiny_setup, 
         _rewrite_header(path, lambda h: {**h, "config": {**h["config"], "num_turns": 1}})
     else:
         path.write_bytes(path.read_bytes() + bytes(8))
-    writer = None
-    if source == "pipe":
-        if not hasattr(os, "mkfifo"):
-            pytest.skip("needs named pipes")
-        path, writer = _pipe_sending(tmp_path, path.read_bytes())
     with pytest.raises(CheckpointError, match=r"payload runs past the \d+ bytes of its tensors"):
         load_checkpoint(path)
-    if writer is not None:
-        writer.join(timeout=10)
-        assert not writer.is_alive()
 
 
 def _payload_start(data: bytes) -> int:
@@ -1561,28 +1566,6 @@ def test_failed_checkpoint_rewrite_keeps_the_old_file(tmp_path, tiny_setup, monk
         save_checkpoint(path, TINY_CONFIG, vocab, {k: v + 1.0 for k, v in params.items()})
     assert path.read_bytes() == first
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
-
-
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_stream_claiming_a_huge_header_fails_as_truncated_in_bounded_memory(tmp_path):
-    """A stream's header length is only a claim: a pipe that sends a valid
-    magic and version, a header length of 200,000,000 and two bytes fails
-    as truncated after reading what arrived, in chunks, not into a buffer of
-    the claimed size."""
-    version = checkpoint_module._VERSION.to_bytes(4, "little")
-    sent = b"SATGCKPT" + version + (200_000_000).to_bytes(8, "little") + b"{}"
-    assert len(sent) == 22
-    fifo, writer = _pipe_sending(tmp_path, sent)
-    tracemalloc.start()
-    try:
-        with pytest.raises(CheckpointError,
-                           match="truncated checkpoint: header holds 2 of 200000000 bytes"):
-            load_checkpoint(fifo)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-        writer.join(timeout=10)
-    assert peak < 2_000_000
 
 
 def _rewrite_header(path, edit):
